@@ -2,7 +2,7 @@
 weighted sliding-window scheduling, and statistics-aligned feature fusion,
 validated against a deterministic toy flow-matching denoiser."""
 
-from .core import EPS, FeatureStats, SeededRng, gaussian, relative_l2, stats
+from .core import EPS, FeatureStats, SeededRng, relative_l2, stats
 from .flow_model import (LayerOutputs, MaskPair, SamplerConfig, ToyModel, build_model,
                          euler_step, forward_diffuse, masked_recon_loss, sample_full,
                          velocity_loss)

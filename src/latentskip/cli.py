@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from . import harness
-from .core import SeededRng, gaussian, relative_l2, stats
+from .core import SeededRng, relative_l2, stats
 from .flow_model import FUSION_MODES
 from .norm_fusion import normalize_fuse
 from .predictor import AnchorCache, PredictorConfig, SigmaHistory, finite_differences, predict

@@ -44,17 +44,6 @@ def stats(x: np.ndarray) -> FeatureStats:
     return FeatureStats(float(x.mean()), float(x.std()))
 
 
-def rescale(x: np.ndarray, mean: float, std: float) -> np.ndarray:
-    """Shift/scale x so its global stats become (mean, std).
-
-    Degenerate inputs (std below EPS) collapse to the constant `mean`
-    tensor instead of dividing by zero.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    src = stats(x)
-    return (x - src.mean) / max(src.std, EPS) * std + mean
-
-
 def relative_l2(a: np.ndarray, b: np.ndarray) -> float:
     """||a - b||2 / max(||b||2, EPS)."""
     a = np.asarray(a, dtype=np.float64)
@@ -63,8 +52,3 @@ def relative_l2(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     denom = max(float(np.linalg.norm(b)), EPS)
     return float(np.linalg.norm(a - b)) / denom
-
-
-def gaussian(shape, rng: SeededRng) -> np.ndarray:
-    """I.i.d. standard normal tensor, deterministic per rng seed."""
-    return rng.normal(shape)

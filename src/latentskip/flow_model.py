@@ -41,7 +41,6 @@ class LayerOutputs:
 @dataclass
 class SamplerConfig:
     steps: int = 50
-    seed: int = 0
     # Optional explicit schedule (length steps+1, strictly decreasing,
     # from 1 to 0). Default: uniform t_j = j/steps, descending.
     schedule: list | None = None
@@ -177,14 +176,12 @@ def euler_step(z: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
 def sample_full(model, z_T: np.ndarray, cond: np.ndarray, cfg: SamplerConfig):
     """Non-accelerated sampler: evaluate the model at every step (the oracle).
 
-    Returns (trajectory, evals): steps+1 latents ending at the sample, and
-    the number of full model evaluations (== steps).
+    This is ``run_long`` over a single window spanning every frame. Returns
+    (trajectory, evals): steps+1 latents ending at the sample, and the
+    number of full model evaluations (== steps).
     """
-    ts = cfg.timesteps()
-    z = np.array(z_T, dtype=np.float64)
-    trajectory = [z.copy()]
-    for j in range(cfg.steps):
-        out = model.eval(z, float(ts[j]), cond)
-        z = euler_step(z, out.final, float(ts[j] - ts[j + 1]))
-        trajectory.append(z.copy())
-    return trajectory, cfg.steps
+    from .windows import WindowPlan, run_long  # windows imports this module
+
+    frames = np.shape(z_T)[0]
+    trajectory, evals = run_long(model, z_T, cond, WindowPlan(frames, frames, 0, ((0, frames),)), cfg)
+    return trajectory, evals[0]

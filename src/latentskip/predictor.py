@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import EPS
-from .flow_model import LayerOutputs, euler_step
+from .flow_model import LayerOutputs
 
 
 @dataclass
@@ -117,9 +117,6 @@ class DiffTable:
     def max_order(self) -> int:
         return len(self.per_layer[0]) - 1
 
-    def layer_count(self) -> int:
-        return len(self.per_layer)
-
 
 def finite_differences(cache: AnchorCache) -> DiffTable:
     """Build the difference table from the cached anchors, newest as base."""
@@ -134,10 +131,16 @@ def finite_differences(cache: AnchorCache) -> DiffTable:
 
 
 def scale_s(hist: SigmaHistory, alpha: float) -> float:
-    """Variation-rate corrector (sigma_newest / sigma_avg)^alpha; 1 pre-warmup."""
-    if not hist.sigmas:
+    """Variation-rate corrector (sigma_newest / sigma_avg)^alpha.
+
+    Returns the neutral 1.0 before any sigma is recorded, and when the newest
+    or the average sigma is below EPS: a field that does not change between
+    anchors gives no rate to compare, and a ratio of 0 (or 0/0) would make
+    ``predict`` divide by zero.
+    """
+    if not hist.sigmas or hist.newest < EPS or hist.average < EPS:
         return 1.0
-    return (hist.newest / max(hist.average, EPS)) ** alpha
+    return (hist.newest / hist.average) ** alpha
 
 
 def layer_weight(table: DiffTable, layer: int, order: int) -> float:
@@ -184,24 +187,22 @@ def is_anchor_step(step_index: int, cfg: PredictorConfig) -> bool:
 def sample_accelerated(model, z_T: np.ndarray, cond, sampler_cfg, predictor_cfg: PredictorConfig):
     """Euler sampling with full evaluations only at anchor steps.
 
+    This is ``run_long`` over a single window spanning every frame.
     Returns (trajectory, evals); evals == ceil(steps / anchor_spacing).
     """
-    ts = sampler_cfg.timesteps()
-    state = PredictorState(predictor_cfg)
-    z = np.array(z_T, dtype=np.float64)
-    trajectory = [z.copy()]
-    for j in range(sampler_cfg.steps):
-        out = state.step(model, z, float(ts[j]), cond, j)
-        z = euler_step(z, out.final, float(ts[j] - ts[j + 1]))
-        trajectory.append(z.copy())
-    return trajectory, state.evals
+    from .windows import WindowPlan, run_long  # windows imports this module
+
+    frames = np.shape(z_T)[0]
+    trajectory, evals = run_long(model, z_T, cond, WindowPlan(frames, frames, 0, ((0, frames),)),
+                                 sampler_cfg, predictor_cfg)
+    return trajectory, evals[0]
 
 
 class PredictorState:
     """Anchor cache + dynamics bookkeeping for one sampling stream.
 
-    Window schedulers keep one instance per context window; the sampling
-    loop above keeps a single one.
+    ``windows.run_long`` keeps one instance per context window and calls
+    ``step`` once per denoising step; ``evals`` counts the anchor steps.
     """
 
     def __init__(self, cfg: PredictorConfig):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from latentskip.core import SeededRng, gaussian
+from latentskip.core import SeededRng
 from latentskip.flow_model import (LayerOutputs, MaskPair, SamplerConfig, build_model,
                                    euler_step, forward_diffuse, masked_recon_loss,
                                    sample_full, velocity_loss)

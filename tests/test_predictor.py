@@ -108,6 +108,13 @@ class TestDynamics:
     def test_scale_warmup_neutral(self):
         assert scale_s(SigmaHistory(), 1.5) == 1.0
 
+    @pytest.mark.parametrize("sigmas", [[0.0], [0.0, 0.0], [2.0, 0.0]])
+    def test_scale_neutral_on_degenerate_sigma(self, sigmas):
+        hist = SigmaHistory()
+        for sigma in sigmas:
+            hist.record(sigma)
+        assert scale_s(hist, 1.5) == 1.0
+
     def test_layer_weight_uniform(self):
         table = DiffTable([[np.array([3.0])], [np.array([3.0])], [np.array([-3.0])]])
         assert layer_weight(table, 0, 0) == pytest.approx(1.0)
@@ -215,6 +222,20 @@ class TestAnchorSchedule:
         oracle, _ = sample_full(model, z, cond, cfg)
         accel, _ = sample_accelerated(model, z, cond, cfg, PredictorConfig(anchor_spacing=1))
         assert all(np.array_equal(a, b) for a, b in zip(oracle, accel))
+
+    def test_stationary_field_stays_finite(self):
+        # zero A and c: every layer ignores z and t, so every anchor sigma is 0
+        model = build_model(0)
+        for w in model.weights:
+            w["A"][:] = 0.0
+            w["c"][:] = 0.0
+        rng = SeededRng(1)
+        z, cond = rng.normal((8, 8)), rng.normal(8)
+        cfg = SamplerConfig(steps=50)
+        oracle, _ = sample_full(model, z, cond, cfg)
+        accel, _ = sample_accelerated(model, z, cond, cfg, PredictorConfig(anchor_spacing=5, max_order=3))
+        assert np.all(np.isfinite(accel[-1]))
+        assert np.allclose(accel[-1], oracle[-1], rtol=0.0, atol=1e-12)
 
     def test_order_monotonicity_on_toy_suite(self):
         def mean_err(order):

@@ -1,10 +1,22 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latentskip.core import SeededRng
-from latentskip.flow_model import SamplerConfig, build_model, sample_full
-from latentskip.predictor import PredictorConfig
+from latentskip.flow_model import SamplerConfig, build_model, euler_step, sample_full
+from latentskip.predictor import PredictorConfig, sample_accelerated
 from latentskip.windows import blend_overlap, blend_weights, plan_windows, run_long
+
+
+def reference_euler(model, z_T, cond, cfg):
+    """Plain oracle Euler loop, the reference the shared sampling loop is held to."""
+    ts, trajectory = cfg.timesteps(), [np.array(z_T, dtype=np.float64)]
+    for j in range(cfg.steps):
+        v = model.eval(trajectory[-1], float(ts[j]), cond).final
+        trajectory.append(euler_step(trajectory[-1], v, float(ts[j] - ts[j + 1])))
+    return trajectory
 
 
 class TestPlan:
@@ -34,10 +46,20 @@ class TestPlan:
             counts[s:e] += 1
         assert np.all(counts >= 1)
         assert plan.spans[-1][1] == total
-        # consecutive overlap is exactly `overlap`, except the clamped last pair
+        # consecutive overlap is exactly `overlap`, the clamped last pair included
         for (s0, e0), (s1, e1) in zip(plan.spans, plan.spans[1:]):
-            got = e0 - s1
-            assert got == overlap or (e1 == total and got >= overlap)
+            assert e0 - s1 == overlap
+
+    @given(st.data())
+    def test_plan_property(self, data):
+        total = data.draw(st.integers(2, 200), label="L")
+        window = data.draw(st.integers(2, total), label="window")
+        overlap = data.draw(st.integers(1, window - 1), label="overlap")
+        spans = plan_windows(total, window, overlap).spans
+        assert spans[0][0] == 0 and spans[-1][1] == total
+        for (s0, e0), (s1, e1) in zip(spans, spans[1:]):
+            assert e0 - s1 == overlap
+        assert all(e - s > overlap for s, e in spans)
 
 
 class TestBlend:
@@ -115,3 +137,24 @@ class TestRunLong:
         model, z, cond = setup
         with pytest.raises(ValueError):
             run_long(model, z, cond, plan_windows(20, 9, 5), SamplerConfig(steps=2))
+
+
+SMALL_MODEL = build_model(0, layer_count=3, width=8, latent_dim=6, cond_dim=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.integers(1, 12), spacing=st.integers(1, 6), order=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_single_window_loop_matches_reference(steps, spacing, order, seed):
+    rng = SeededRng(seed)
+    z, cond = rng.normal((5, 6)), rng.normal(4)
+    cfg = SamplerConfig(steps=steps)
+    reference = reference_euler(SMALL_MODEL, z, cond, cfg)
+    oracle, oracle_evals = sample_full(SMALL_MODEL, z, cond, cfg)
+    assert oracle_evals == steps
+    assert all(np.array_equal(a, b) for a, b in zip(oracle, reference, strict=True))
+    exact, _ = sample_accelerated(SMALL_MODEL, z, cond, cfg, PredictorConfig(1, order))
+    assert all(np.array_equal(a, b) for a, b in zip(exact, reference, strict=True))
+    accel, evals = sample_accelerated(SMALL_MODEL, z, cond, cfg, PredictorConfig(spacing, order))
+    assert evals == math.ceil(steps / spacing)
+    assert np.all(np.isfinite(accel[-1])) or not np.all(np.isfinite(oracle[-1]))
