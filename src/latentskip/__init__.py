@@ -8,8 +8,7 @@ from .flow_model import (LayerOutputs, MaskPair, SamplerConfig, ToyModel, build_
                          velocity_loss)
 from .harness import ExperimentConfig, MetricsReport, ablation_sweep, dump_trajectory, \
     load_trajectory, run_experiment
-from .norm_fusion import AttnStub, EmbeddingBundle, build_portrait_embedding, cross_attend, \
-    normalize_fuse
+from .norm_fusion import normalize_fuse
 from .predictor import (AnchorCache, DiffTable, PredictorConfig, PredictorState, SigmaHistory,
                         finite_differences, is_anchor_step, layer_weight, predict,
                         sample_accelerated, scale_s)

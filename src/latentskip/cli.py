@@ -10,10 +10,9 @@ import numpy as np
 
 from . import harness
 from .core import SeededRng, relative_l2, stats
-from .flow_model import FUSION_MODES
+from .flow_model import FUSION_MODES, LayerOutputs
 from .norm_fusion import normalize_fuse
 from .predictor import AnchorCache, PredictorConfig, SigmaHistory, finite_differences, predict
-from .flow_model import LayerOutputs
 from .windows import blend_overlap, blend_weights, plan_windows
 
 
@@ -73,7 +72,10 @@ def cmd_ablate(args) -> int:
         grid["fusion"] = args.grid_fusion.split(",")
     if args.grid_dynamics:
         grid["dynamics"] = [v == "on" for v in args.grid_dynamics.split(",")]
-    reports = harness.ablation_sweep(cfg, grid, jobs=args.jobs)
+    try:
+        reports = harness.ablation_sweep(cfg, grid, jobs=args.jobs)
+    except RuntimeError as exc:  # a cell that rejected its grid value is an input error, not a fault
+        raise ValueError(str(exc)) if isinstance(exc.__cause__, ValueError) else exc
     out = harness.reports_to_csv(reports)
     if cfg.out_path:
         with open(cfg.out_path, "w") as fh:

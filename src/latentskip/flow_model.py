@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import SeededRng
-from .norm_fusion import fuse_streams
+# Bound under this name because perfbench/tracer.py times fusion by wrapping flow_model.fuse_streams.
+from .norm_fusion import normalize_fuse as fuse_streams
 
 FUSION_MODES = ("baseline-add", "pure-norm", "centralization", "ours")
 

@@ -37,6 +37,17 @@ class TrajectoryVersionError(ValueError):
     """Trajectory file written with an unsupported schema version."""
 
 
+# ExperimentConfig annotation (a string under postponed evaluation) -> (value check, description).
+_FIELD_KINDS = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (lambda v: type(v) in (int, float), "a number"),
+    "bool": (lambda v: type(v) is bool, "true or false"),
+    "str": (lambda v: type(v) is str, "a string"),
+    "str | None": (lambda v: v is None or type(v) is str, "a string or null"),
+    "tuple": (lambda v: type(v) in (list, tuple) and all(type(x) is int for x in v), "a list of integers"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     seed: int = 0
@@ -77,10 +88,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(values) - known
+        """Build from a flat mapping; an unknown key or a value of the wrong type is a ValueError."""
+        kinds = {f.name: f.type for f in fields(cls)}
+        unknown = set(values) - set(kinds)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in values.items():
+            fits, expected = _FIELD_KINDS[kinds[key]]
+            if not fits(value):
+                raise ValueError(f"{key}: expected {expected}, got {value!r}")
         if "frame_shape" in values:
             values = dict(values, frame_shape=tuple(values["frame_shape"]))
         return cls(**values)

@@ -1,26 +1,19 @@
-"""Statistics-aligned feature fusion and the stub embedding/attention blocks.
+"""Statistics-aligned feature fusion of two conditioning streams.
 
-The load-bearing piece is ``normalize_fuse``: rescale the portrait stream to
-the image stream's mean/std before the residual add, so the two feature
-distributions share a center. The attention pieces are deterministic
-single-head stubs that stand in for the real blocks around it.
+``normalize_fuse`` rescales the portrait stream to the image stream's global
+mean/std before the residual add, so the two feature distributions share a
+center; ``ToyModel.eval`` runs it at every layer. The other modes are the
+ablation baselines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import EPS, SeededRng
+from .core import EPS, stats
 
 
-def _stats(x: np.ndarray, axis=None):
-    # axis=None: global scalars (default). axis=0: per-channel over tokens.
-    return np.mean(x, axis=axis), np.std(x, axis=axis)
-
-
-def normalize_fuse(z_img: np.ndarray, z_p: np.ndarray, mode: str = "ours", axis=None) -> np.ndarray:
+def normalize_fuse(z_img: np.ndarray, z_p: np.ndarray, mode: str = "ours") -> np.ndarray:
     """Fuse the portrait stream into the image stream.
 
     mode "ours": align z_p to (mean, std) of z_img, then add z_img.
@@ -32,110 +25,14 @@ def normalize_fuse(z_img: np.ndarray, z_p: np.ndarray, mode: str = "ours", axis=
     z_p = np.asarray(z_p, dtype=np.float64)
     if z_img.shape != z_p.shape:
         raise ValueError("shape mismatch")
-    mu_p, sd_p = _stats(z_p, axis)
-    mu_i, sd_i = _stats(z_img, axis)
-    if mode == "ours":
-        aligned = (z_p - mu_p) / np.maximum(sd_p, EPS) * sd_i + mu_i
-        return aligned + z_img
-    if mode == "pure-norm":
-        return (z_p - mu_p) / np.maximum(sd_p, EPS) + z_img
-    if mode == "centralization":
-        return (z_p - mu_p) / np.maximum(sd_p, EPS) + (z_img - mu_i) / np.maximum(sd_i, EPS)
     if mode == "baseline-add":
         return z_p + z_img
+    sp, si = stats(z_p), stats(z_img)
+    if mode == "ours":
+        aligned = (z_p - sp.mean) / max(sp.std, EPS) * si.std + si.mean
+        return aligned + z_img
+    if mode == "pure-norm":
+        return (z_p - sp.mean) / max(sp.std, EPS) + z_img
+    if mode == "centralization":
+        return (z_p - sp.mean) / max(sp.std, EPS) + (z_img - si.mean) / max(si.std, EPS)
     raise ValueError(f"unknown fusion mode {mode!r}")
-
-
-def fuse_streams(z_img: np.ndarray, z_p: np.ndarray, mode: str) -> np.ndarray:
-    """normalize_fuse with the package-wide global-stats default."""
-    return normalize_fuse(z_img, z_p, mode)
-
-
-def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _self_attend(x: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    d = q.shape[1]
-    scores = (x @ q) @ (x @ k).T / np.sqrt(d)
-    return _softmax(scores) @ (x @ v)
-
-
-@dataclass
-class AttnStub:
-    """Fixed seeded weights for the single-head attention/FFN/MLP stubs.
-
-    Widths: d_m (mouth stream), d_e (pose/eye/emotion stream), d_me (MLP
-    output), d_z (latent tokens), d_attn (attention head).
-    """
-
-    seed: int
-    d_m: int
-    d_e: int
-    d_me: int
-    d_z: int
-    d_attn: int
-
-    def __post_init__(self):
-        rng = SeededRng(self.seed)
-
-        def mat(rows, cols):
-            return rng.normal((rows, cols)) / np.sqrt(rows)
-
-        # Self-attention + FFN per input stream (mouth, e*).
-        self.sa = {
-            name: {
-                "q": mat(d, self.d_attn), "k": mat(d, self.d_attn), "v": mat(d, d),
-                "ffn1": mat(d, d), "ffn2": mat(d, d),
-            }
-            for name, d in (("m", self.d_m), ("e", self.d_e))
-        }
-        # MLP over the concatenated streams.
-        self.mlp1 = mat(self.d_m + self.d_e, self.d_me)
-        self.mlp2 = mat(self.d_me, self.d_me)
-        # Cross-attention: latent queries against portrait-embedding keys.
-        d_p = self.d_m + self.d_e + self.d_me
-        self.cross = {"q": mat(self.d_z, self.d_attn), "k": mat(d_p, self.d_attn), "v": mat(d_p, self.d_z)}
-
-
-def build_portrait_embedding(emb_m: np.ndarray, emb_e_star: np.ndarray, stub: AttnStub) -> np.ndarray:
-    """Concat(FFN(SA(mouth)), FFN(SA(pose/eye/emotion)), MLP(concat(both)))."""
-    emb_m = np.asarray(emb_m, dtype=np.float64)
-    emb_e_star = np.asarray(emb_e_star, dtype=np.float64)
-    if emb_m.shape[1] != stub.d_m or emb_e_star.shape[1] != stub.d_e:
-        raise ValueError("embedding width mismatch")
-    if emb_m.shape[0] != emb_e_star.shape[0]:
-        raise ValueError("token count mismatch")
-
-    def ffn(x, w):
-        return np.tanh(x @ w["ffn1"]) @ w["ffn2"]
-
-    part_m = ffn(_self_attend(emb_m, stub.sa["m"]["q"], stub.sa["m"]["k"], stub.sa["m"]["v"]), stub.sa["m"])
-    part_e = ffn(_self_attend(emb_e_star, stub.sa["e"]["q"], stub.sa["e"]["k"], stub.sa["e"]["v"]), stub.sa["e"])
-    part_me = np.tanh(np.concatenate([emb_m, emb_e_star], axis=1) @ stub.mlp1) @ stub.mlp2
-    return np.concatenate([part_m, part_e, part_me], axis=1)
-
-
-def cross_attend(z: np.ndarray, emb: np.ndarray, stub: AttnStub) -> np.ndarray:
-    """Single-head cross-attention: latent tokens query embedding tokens."""
-    z = np.asarray(z, dtype=np.float64)
-    emb = np.asarray(emb, dtype=np.float64)
-    if z.shape[1] != stub.d_z or emb.shape[1] != stub.cross["k"].shape[0]:
-        raise ValueError("width mismatch")
-    scores = (z @ stub.cross["q"]) @ (emb @ stub.cross["k"]).T / np.sqrt(stub.d_attn)
-    return _softmax(scores) @ (emb @ stub.cross["v"])
-
-
-@dataclass
-class EmbeddingBundle:
-    """The three input embeddings plus the derived portrait embedding."""
-
-    emb_m: np.ndarray
-    emb_e_star: np.ndarray
-    emb_img: np.ndarray
-    emb_p: np.ndarray
-
-    @classmethod
-    def build(cls, emb_m, emb_e_star, emb_img, stub: AttnStub) -> "EmbeddingBundle":
-        return cls(emb_m, emb_e_star, emb_img, build_portrait_embedding(emb_m, emb_e_star, stub))

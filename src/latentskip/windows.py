@@ -84,11 +84,14 @@ def run_long(model, z_T_full: np.ndarray, cond_full, plan: WindowPlan,
     tail from the same step. The first window and the first step skip
     blending. A ``cond_full`` with one row per frame is sliced per window;
     any other value (a shared vector, or None) reaches the model untouched.
-    Returns (trajectory, evals_per_window).
+    Returns (trajectory, evals_per_window); NaN or inf in either input is a ValueError.
     """
     z = np.array(z_T_full, dtype=np.float64)
     if z.shape[0] != plan.total:
         raise ValueError(f"latent has {z.shape[0]} frames, plan expects {plan.total}")
+    for name, value in (("z_T", z), ("cond", cond_full)):
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} contains NaN or inf")
     per_frame_cond = np.ndim(cond_full) == 2 and np.shape(cond_full)[0] == plan.total
     evaluators = [OracleState() if predictor_cfg is None else PredictorState(predictor_cfg)
                   for _ in plan.spans]

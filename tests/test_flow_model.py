@@ -1,6 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from latentskip import flow_model
 from latentskip.core import SeededRng
 from latentskip.flow_model import (LayerOutputs, MaskPair, SamplerConfig, build_model,
                                    euler_step, forward_diffuse, masked_recon_loss,
@@ -26,6 +29,21 @@ class TestToyModel:
         m = small_model()
         out = m.eval(np.zeros(12), 0.5, np.zeros(4))
         assert len(out) == 4
+
+    def test_fusion_hook_point(self, monkeypatch):
+        # perfbench/tracer.py times fusion by wrapping flow_model.fuse_streams, so it
+        # must stay a plain module-level function that eval looks up once per layer.
+        original = inspect.getattr_static(flow_model, "fuse_streams")
+        assert inspect.isfunction(original)
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return original(*args)
+
+        monkeypatch.setattr(flow_model, "fuse_streams", counting)
+        small_model(layer_count=5, fusion_mode="ours").eval(np.ones(12), 0.5, np.ones(4))
+        assert calls == ["ours"] * 5
 
     def test_zero_weights_give_zero_outputs(self):
         m = small_model()

@@ -1,13 +1,22 @@
 import json
 import math
+import os
+import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from latentskip.cli import main
 from latentskip.harness import (CSV_HEADER, ExperimentConfig, TrajectoryFormatError,
                                 TrajectoryVersionError, ablation_sweep, dump_trajectory,
                                 load_trajectory, reports_to_csv, run_experiment)
+
+
+MAX_FLOAT = sys.float_info.max
+SMALL_RUN = {"steps": 4, "frames": 8, "window": 8, "frame_shape": [4, 4]}
 
 
 def fast_cfg(**kw):
@@ -85,17 +94,24 @@ class TestAblation:
         assert header == "mode,K,n,alpha,T,L,l,v,evals,predicted,wall_ms,rel_err_final,rel_err_mean"
 
 
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, MAX_FLOAT, -MAX_FLOAT])
+TENSORS = st.lists(arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+                          elements=st.floats(allow_nan=False, allow_infinity=False) | EDGE_FLOATS),
+                   max_size=5)
+
+
 class TestTrajectoryIO:
-    def test_round_trip_bitwise(self, tmp_path):
-        rng = np.random.Generator(np.random.PCG64(5))
-        traj = [rng.standard_normal((3, 4)) for _ in range(4)]
-        path = tmp_path / "traj.json"
-        dump_trajectory(traj, path)
-        loaded = load_trajectory(path)
-        assert len(loaded) == 4
+    @settings(max_examples=60, deadline=None)
+    @given(traj=TENSORS)
+    def test_round_trip_bitwise(self, traj):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "traj.json")
+            dump_trajectory(traj, path)
+            loaded = load_trajectory(path)
+        assert len(loaded) == len(traj)
         for a, b in zip(traj, loaded):
             assert a.shape == b.shape
-            assert np.array_equal(a, b)
+            assert a.tobytes() == b.tobytes()
 
     def test_truncated_file_is_schema_error(self, tmp_path):
         path = tmp_path / "traj.json"
@@ -157,6 +173,24 @@ class TestCli:
     def test_invalid_config_exits_nonzero(self, capsys):
         assert main(["sample", "-K", "0"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["sample"], {"steps": 10.5}, "steps: expected an integer"),
+        (["sample"], {"steps": "10"}, "steps: expected an integer"),
+        (["sample"], {"steps": True}, "steps: expected an integer"),
+        (["sample"], {"window": 8.0}, "window: expected an integer"),
+        (["sample"], {"frame_shape": 5}, "frame_shape: expected a list of integers"),
+        (["sample"], {"dynamics_enabled": "no"}, "dynamics_enabled: expected true or false"),
+        (["sample"], {"alpha": "1.5"}, "alpha: expected a number"),
+        (["ablate", "--grid-K", "0,2"], SMALL_RUN, "grid cell {'K': 0} failed: anchor_spacing"),
+        (["ablate", "--grid-fusion", "ours,bogus"], SMALL_RUN, "grid cell {'fusion': 'bogus'} failed: fusion"),
+    ])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, argv, config, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(argv + ["--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0

@@ -158,3 +158,23 @@ def test_single_window_loop_matches_reference(steps, spacing, order, seed):
     accel, evals = sample_accelerated(SMALL_MODEL, z, cond, cfg, PredictorConfig(spacing, order))
     assert evals == math.ceil(steps / spacing)
     assert np.all(np.isfinite(accel[-1])) or not np.all(np.isfinite(oracle[-1]))
+
+
+SAMPLERS = {
+    "sample_full": lambda z, cond, cfg: sample_full(SMALL_MODEL, z, cond, cfg),
+    "sample_accelerated": lambda z, cond, cfg: sample_accelerated(SMALL_MODEL, z, cond, cfg,
+                                                                  PredictorConfig(2, 2)),
+    "run_long": lambda z, cond, cfg: run_long(SMALL_MODEL, z, cond, plan_windows(12, 6, 3), cfg,
+                                              PredictorConfig(2, 2)),
+}
+
+
+@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("target", ["z_T", "cond"])
+def test_non_finite_input_rejected(sampler, bad, target):
+    rng = SeededRng(3)
+    inputs = {"z_T": rng.normal((12, 6)), "cond": rng.normal((12, 4))}
+    inputs[target][5, 1] = bad
+    with pytest.raises(ValueError, match=target):
+        SAMPLERS[sampler](inputs["z_T"], inputs["cond"], SamplerConfig(steps=5))
