@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -24,12 +25,13 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("-K", dest="anchor_spacing", type=int, help="anchor spacing")
     p.add_argument("-n", dest="order", type=int, help="max difference order")
     p.add_argument("--alpha", type=float, help="variation-rate exponent")
-    p.add_argument("--no-dynamics", action="store_true", help="disable the dynamic correctors")
+    p.add_argument("--no-dynamics", dest="dynamics_enabled", action="store_false", default=None,
+                   help="disable the dynamic correctors")
     p.add_argument("--fusion", choices=FUSION_MODES, help="conditioning fusion mode")
     p.add_argument("--seed", type=int, help="base seed")
-    p.add_argument("--reps", type=int, help="repetitions (averaged)")
+    p.add_argument("--reps", dest="repetitions", metavar="REPS", type=int, help="repetitions (averaged)")
     p.add_argument("--config", help="flat JSON config file; flags override")
-    p.add_argument("--out", help="output path")
+    p.add_argument("--out", dest="out_path", metavar="OUT", help="output path")
 
 
 def _load_config(args) -> harness.ExperimentConfig:
@@ -37,15 +39,9 @@ def _load_config(args) -> harness.ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             values.update(json.load(fh))
-    overrides = {
-        "steps": args.steps, "frames": args.frames, "window": args.window,
-        "overlap": args.overlap, "anchor_spacing": args.anchor_spacing,
-        "order": args.order, "alpha": args.alpha, "fusion": args.fusion,
-        "seed": args.seed, "repetitions": args.reps, "out_path": args.out,
-    }
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    if args.no_dynamics:
-        values["dynamics_enabled"] = False
+    # Each run flag's dest is the config field it sets; an absent flag is None.
+    names = {f.name for f in fields(harness.ExperimentConfig)}
+    values.update({k: v for k, v in vars(args).items() if k in names and v is not None})
     cfg = harness.ExperimentConfig.from_dict(values)
     cfg.validate()
     return cfg
@@ -61,19 +57,33 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _on_off(value: str) -> bool:
+    if value not in ("on", "off"):
+        raise ValueError(f"expected on or off, got {value!r}")
+    return value == "on"
+
+
+# harness.GRID_KEYS key -> (parser of one comma-list entry, help of --grid-<key>).
+_GRID_FLAGS = {
+    "K": (int, "comma list of anchor spacings"),
+    "n": (int, "comma list of difference orders"),
+    "fusion": (str, "comma list of fusion modes"),
+    "dynamics": (_on_off, "comma list of on/off"),
+}
+
+
 def cmd_ablate(args) -> int:
     cfg = _load_config(args)
     grid = {}
-    if args.grid_K:
-        grid["K"] = [int(v) for v in args.grid_K.split(",")]
-    if args.grid_n:
-        grid["n"] = [int(v) for v in args.grid_n.split(",")]
-    if args.grid_fusion:
-        grid["fusion"] = args.grid_fusion.split(",")
-    if args.grid_dynamics:
-        grid["dynamics"] = [v == "on" for v in args.grid_dynamics.split(",")]
+    for key in harness.GRID_KEYS:
+        text = getattr(args, f"grid_{key}")
+        if text:
+            try:
+                grid[key] = [_GRID_FLAGS[key][0](v) for v in text.split(",")]
+            except ValueError as exc:
+                raise ValueError(f"--grid-{key}: {exc}") from None
     try:
-        reports = harness.ablation_sweep(cfg, grid, jobs=args.jobs)
+        reports = harness.ablation_sweep(cfg, grid)
     except RuntimeError as exc:  # a cell that rejected its grid value is an input error, not a fault
         raise ValueError(str(exc)) if isinstance(exc.__cause__, ValueError) else exc
     out = harness.reports_to_csv(reports)
@@ -146,11 +156,8 @@ def main(argv=None) -> int:
 
     p_ablate = sub.add_parser("ablate", help="run a grid of comparisons, emit CSV")
     _add_run_flags(p_ablate)
-    p_ablate.add_argument("--grid-K", help="comma list of anchor spacings")
-    p_ablate.add_argument("--grid-n", help="comma list of difference orders")
-    p_ablate.add_argument("--grid-fusion", help="comma list of fusion modes")
-    p_ablate.add_argument("--grid-dynamics", help="comma list of on/off")
-    p_ablate.add_argument("--jobs", type=int, default=1, help="parallel grid cells")
+    for key, (_, help_text) in _GRID_FLAGS.items():
+        p_ablate.add_argument(f"--grid-{key}", help=help_text)
     p_ablate.set_defaults(fn=cmd_ablate)
 
     p_plan = sub.add_parser("plan", help="print the window plan")

@@ -42,21 +42,13 @@ class LayerOutputs:
 @dataclass
 class SamplerConfig:
     steps: int = 50
-    # Optional explicit schedule (length steps+1, strictly decreasing,
-    # from 1 to 0). Default: uniform t_j = j/steps, descending.
-    schedule: list | None = None
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.schedule is not None:
-            ts = np.asarray(self.schedule, dtype=np.float64)
-            if len(ts) != self.steps + 1 or not np.all(np.diff(ts) < 0):
-                raise ValueError("schedule must be strictly decreasing with steps+1 entries")
 
     def timesteps(self) -> np.ndarray:
-        if self.schedule is not None:
-            return np.asarray(self.schedule, dtype=np.float64)
+        """Uniform t_j = j/steps, descending from 1 to 0."""
         return np.linspace(1.0, 0.0, self.steps + 1)
 
 
@@ -99,8 +91,6 @@ class ToyModel:
             h = np.tanh(h @ w["A"].T + w["b"] + t * w["c"] + fuse_streams(s_img, s_p, self.fusion_mode))
             outs.append(h)
         return LayerOutputs(outs, z.shape)
-
-    __call__ = eval
 
     def _as_frames(self, z: np.ndarray):
         if z.ndim > 1 and int(np.prod(z.shape[1:])) == self.latent_dim:

@@ -13,7 +13,6 @@ import itertools
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -74,6 +73,10 @@ class ExperimentConfig:
         objects built from them, whose messages name the offending field.
         """
         checks = [
+            ("seed", self.seed >= 0, "must be >= 0"),
+            ("frame_shape", min(self.frame_shape, default=0) >= 1,
+             "must be a non-empty list of entries >= 1"),
+            ("cond_dim", self.cond_dim >= 0, "must be >= 0"),
             ("layers", self.layers >= 2, "must be >= 2"),
             ("width", self.width >= 2, "must be >= 2"),
             ("fusion", self.fusion in FUSION_MODES, f"must be one of {FUSION_MODES}"),
@@ -183,30 +186,27 @@ GRID_KEYS = {"K": "anchor_spacing", "n": "order", "dynamics": "dynamics_enabled"
 
 
 def ablation_sweep(base: ExperimentConfig, grid: dict, jobs: int = 1) -> list[MetricsReport]:
-    """One report per grid cell, sorted by (mode, K, n).
+    """One report per grid cell, run one after another, sorted by (mode, K, n).
 
     ``grid`` maps a subset of {K, n, dynamics, fusion} to value lists.
+    ``jobs`` accepts only 1 and remains for callers that pass it.
     """
+    if jobs != 1:
+        raise ValueError(f"jobs: must be 1, got {jobs!r}")
     if not grid:
         raise ValueError("empty ablation grid")
     unknown = set(grid) - set(GRID_KEYS)
     if unknown:
         raise ValueError(f"unknown grid keys: {sorted(unknown)}")
     keys = sorted(grid)
-    cells = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
-
-    def run_cell(cell):
+    reports = []
+    for combo in itertools.product(*(grid[k] for k in keys)):
+        cell = dict(zip(keys, combo))
         cfg = replace(base, **{GRID_KEYS[k]: v for k, v in cell.items()})
         try:
-            return run_experiment(cfg)
+            reports.append(run_experiment(cfg))
         except Exception as exc:
             raise RuntimeError(f"grid cell {cell} failed: {exc}") from exc
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(run_cell, cells))
-    else:
-        reports = [run_cell(c) for c in cells]
     reports.sort(key=lambda r: (r.mode, r.anchor_spacing, r.order))
     return reports
 

@@ -202,5 +202,3 @@ class TestEulerAndSampler:
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             SamplerConfig(steps=0)
-        with pytest.raises(ValueError):
-            SamplerConfig(steps=2, schedule=[1.0, 0.5, 0.7])

@@ -1,15 +1,17 @@
+import argparse
 import json
 import math
 import os
 import sys
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from latentskip.cli import main
+from latentskip.cli import _add_run_flags, _load_config, main
 from latentskip.harness import (CSV_HEADER, ExperimentConfig, TrajectoryFormatError,
                                 TrajectoryVersionError, ablation_sweep, dump_trajectory,
                                 load_trajectory, reports_to_csv, run_experiment)
@@ -77,11 +79,14 @@ class TestAblation:
         keys = [(r.mode, r.anchor_spacing, r.order) for r in reports]
         assert keys == sorted(keys)
 
-    def test_parallel_jobs_match_serial(self):
+    def test_jobs_must_be_one(self):
         grid = {"K": [2, 5], "n": [1, 3]}
-        serial = ablation_sweep(fast_cfg(), grid, jobs=1)
-        parallel = ablation_sweep(fast_cfg(), grid, jobs=4)
-        assert [r.rel_err_final for r in serial] == [r.rel_err_final for r in parallel]
+        with pytest.raises(ValueError, match="jobs"):
+            ablation_sweep(fast_cfg(), grid, jobs=2)
+        default, serial = ablation_sweep(fast_cfg(), grid), ablation_sweep(fast_cfg(), grid, jobs=1)
+        wall = CSV_HEADER.index("wall_ms")
+        assert [r.csv_row()[:wall] + r.csv_row()[wall + 1:] for r in serial] == \
+            [r.csv_row()[:wall] + r.csv_row()[wall + 1:] for r in default]
 
     def test_cell_failure_carries_cell_id(self):
         with pytest.raises(RuntimeError, match="grid cell"):
@@ -165,7 +170,7 @@ class TestCli:
     def test_ablate_writes_csv(self, tmp_path):
         out = tmp_path / "grid.csv"
         rc = main(["ablate", "-T", "10", "-L", "8", "--window", "8",
-                   "--grid-K", "2,5", "--grid-n", "1,3", "--jobs", "2", "--out", str(out)])
+                   "--grid-K", "2,5", "--grid-n", "1,3", "--out", str(out)])
         assert rc == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 5
@@ -184,6 +189,14 @@ class TestCli:
         (["sample"], {"alpha": "1.5"}, "alpha: expected a number"),
         (["ablate", "--grid-K", "0,2"], SMALL_RUN, "grid cell {'K': 0} failed: anchor_spacing"),
         (["ablate", "--grid-fusion", "ours,bogus"], SMALL_RUN, "grid cell {'fusion': 'bogus'} failed: fusion"),
+        (["ablate", "--grid-dynamics", "yes,on"], SMALL_RUN, "--grid-dynamics: expected on or off, got 'yes'"),
+        (["ablate", "--grid-K", "2,x"], SMALL_RUN, "--grid-K: "),
+        (["ablate", "--grid-n", "1.5"], SMALL_RUN, "--grid-n: "),
+        (["sample"], {"frame_shape": [0, 4]}, "frame_shape: must be"),
+        (["sample"], {"frame_shape": []}, "frame_shape: must be"),
+        (["sample"], {"frame_shape": [-2, 4]}, "frame_shape: must be"),
+        (["sample"], {"cond_dim": -1}, "cond_dim: must be >= 0"),
+        (["sample", "--seed", "-1"], SMALL_RUN, "seed: must be >= 0"),
     ])
     def test_malformed_input_exits_2(self, tmp_path, capsys, argv, config, message):
         cfg_path = tmp_path / "cfg.json"
@@ -191,6 +204,39 @@ class TestCli:
         assert main(argv + ["--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_zero_cond_dim_runs(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(SMALL_RUN, cond_dim=0)))
+        assert main(["sample", "--config", str(cfg_path)]) == 0
+
+    def test_jobs_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--grid-K", "2", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    def test_run_flag_dests_are_config_fields(self):
+        # _load_config keeps only dests named like a config field, so a misspelled dest is a no-op flag.
+        parser = argparse.ArgumentParser()
+        _add_run_flags(parser)
+        dests = set(vars(parser.parse_args([]))) - {"config"}
+        assert len(dests) == 12
+        assert dests <= {f.name for f in fields(ExperimentConfig)}
+
+    def test_run_flags_land_in_config(self, tmp_path):
+        parser = argparse.ArgumentParser()
+        _add_run_flags(parser)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dynamics_enabled": False, "repetitions": 3}))
+        assert _load_config(parser.parse_args(["--config", str(cfg_path)])) == \
+            ExperimentConfig(dynamics_enabled=False, repetitions=3)
+        argv = ["-T", "6", "-L", "9", "--window", "7", "--overlap", "2", "-K", "3", "-n", "1",
+                "--alpha", "1.25", "--no-dynamics", "--fusion", "pure-norm", "--seed", "4",
+                "--reps", "2", "--out", "t.json"]
+        assert _load_config(parser.parse_args(argv)) == ExperimentConfig(
+            steps=6, frames=9, window=7, overlap=2, anchor_spacing=3, order=1, alpha=1.25,
+            dynamics_enabled=False, fusion="pure-norm", seed=4, repetitions=2, out_path="t.json")
 
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0
