@@ -38,7 +38,9 @@ def _load_config(args) -> harness.ExperimentConfig:
     values = {}
     if args.config:
         with open(args.config) as fh:
-            values.update(json.load(fh))
+            values = json.load(fh)
+        if not isinstance(values, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
     # Each run flag's dest is the config field it sets; an absent flag is None.
     names = {f.name for f in fields(harness.ExperimentConfig)}
     values.update({k: v for k, v in vars(args).items() if k in names and v is not None})

@@ -112,6 +112,8 @@ class DiffTable:
     """Per-layer finite differences at the newest anchor, orders 0..max."""
 
     per_layer: list  # per_layer[l][i] = i-th difference at layer l
+    # order -> every layer's layer_weight, filled on the order's first query
+    weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def max_order(self) -> int:
@@ -138,18 +140,28 @@ def scale_s(hist: SigmaHistory, alpha: float) -> float:
     anchors gives no rate to compare, and a ratio of 0 (or 0/0) would make
     ``predict`` divide by zero.
     """
-    if not hist.sigmas or hist.newest < EPS or hist.average < EPS:
+    if not hist.sigmas:
         return 1.0
-    return (hist.newest / hist.average) ** alpha
+    newest, average = hist.newest, hist.average
+    if newest < EPS or average < EPS:
+        return 1.0
+    return (newest / average) ** alpha
 
 
 def layer_weight(table: DiffTable, layer: int, order: int) -> float:
-    """1/sqrt of the layer's difference magnitude over the cross-layer mean."""
+    """1/sqrt of the layer's difference magnitude over the cross-layer mean.
+
+    The table does not change once built, so the first query at an order
+    computes every layer's weight and later queries read the stored one.
+    """
     if order > table.max_order:
         raise ValueError(f"order {order} not present in difference table")
-    mags = [float(np.mean(np.abs(diffs[order]))) for diffs in table.per_layer]
-    r = mags[layer] / max(float(np.mean(mags)), EPS)
-    return 1.0 / math.sqrt(max(r, EPS))
+    weights = table.weights.get(order)
+    if weights is None:
+        mags = [float(np.mean(np.abs(diffs[order]))) for diffs in table.per_layer]
+        mean = max(float(np.mean(mags)), EPS)
+        weights = table.weights[order] = [1.0 / math.sqrt(max(mag / mean, EPS)) for mag in mags]
+    return weights[layer]
 
 
 def predict(cache: AnchorCache, table: DiffTable, hist: SigmaHistory,

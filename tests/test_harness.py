@@ -197,6 +197,10 @@ class TestCli:
         (["sample"], {"frame_shape": [-2, 4]}, "frame_shape: must be"),
         (["sample"], {"cond_dim": -1}, "cond_dim: must be >= 0"),
         (["sample", "--seed", "-1"], SMALL_RUN, "seed: must be >= 0"),
+        (["sample"], [1], "cfg.json must hold a JSON object"),
+        (["sample"], None, "cfg.json must hold a JSON object"),
+        (["sample"], "x", "cfg.json must hold a JSON object"),
+        (["sample"], 3, "cfg.json must hold a JSON object"),
     ])
     def test_malformed_input_exits_2(self, tmp_path, capsys, argv, config, message):
         cfg_path = tmp_path / "cfg.json"

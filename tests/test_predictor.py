@@ -1,14 +1,57 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import latentskip.predictor as pred_mod
-from latentskip.core import SeededRng
+from latentskip.core import EPS, SeededRng
 from latentskip.flow_model import LayerOutputs, SamplerConfig, build_model, sample_full
 from latentskip.predictor import (AnchorCache, DiffTable, PredictorConfig, SigmaHistory,
                                   difference_rows, finite_differences, is_anchor_step,
                                   layer_weight, predict, sample_accelerated, scale_s)
+
+
+def reference_layer_weight(table, layer, order):
+    """The weight formula evaluated afresh at every query; layer_weight must equal it bitwise."""
+    if order > table.max_order:
+        raise ValueError(f"order {order} not present in difference table")
+    mags = [float(np.mean(np.abs(diffs[order]))) for diffs in table.per_layer]
+    r = mags[layer] / max(float(np.mean(mags)), EPS)
+    return 1.0 / math.sqrt(max(r, EPS))
+
+
+class AbsCounting(np.ndarray):
+    """An array that counts the np.abs calls made on it."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.absolute:
+            self.abs_calls += 1
+        plain = [x.view(np.ndarray) if isinstance(x, AbsCounting) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+@st.composite
+def diff_tables(draw):
+    """1-6 layers of orders 0..max_order (max_order 0-3); the final layer has its own width.
+
+    An order's differences may be all zero at some layers or at every layer, so both
+    EPS guards of the weight (on the cross-layer mean and on the ratio) are reached.
+    """
+    layers = draw(st.integers(1, 6))
+    max_order = draw(st.integers(0, 3))
+    hidden, final = draw(st.lists(st.integers(1, 5), min_size=2, max_size=2, unique=True))
+    values = st.floats(-1e6, 1e6, allow_nan=False)
+    zero_orders = draw(st.sets(st.integers(0, max_order)))
+    per_layer = []
+    for l in range(layers):
+        width = final if l == layers - 1 else hidden
+        per_layer.append([np.zeros(width) if i in zero_orders or draw(st.booleans())
+                          else draw(arrays(np.float64, width, elements=values))
+                          for i in range(max_order + 1)])
+    return DiffTable(per_layer)
 
 
 def scalar_outputs(value):
@@ -130,6 +173,31 @@ class TestDynamics:
         with pytest.raises(ValueError):
             layer_weight(table, 0, 1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(table=diff_tables(), data=st.data())
+    def test_layer_weight_matches_reference_bitwise(self, table, data):
+        queries = [(l, i) for l in range(len(table.per_layer)) for i in range(table.max_order + 1)]
+        queries = data.draw(st.permutations(queries)) + data.draw(st.lists(st.sampled_from(queries)))
+        for layer, order in queries:
+            got = layer_weight(table, layer, order)
+            assert got.hex() == reference_layer_weight(table, layer, order).hex()
+        with pytest.raises(ValueError, match="not present"):
+            layer_weight(table, 0, table.max_order + 1)
+
+    def test_layer_weight_reduces_each_difference_once(self):
+        # One table answers all M*(n+1) queries, twice over, with one np.abs per difference.
+        rng = SeededRng(3)
+        layers, max_order = 4, 3
+        table = DiffTable([[rng.normal(6 if l < layers - 1 else 2).view(AbsCounting)
+                            for _ in range(max_order + 1)] for l in range(layers)])
+        for diffs in table.per_layer:
+            for d in diffs:
+                d.abs_calls = 0
+        queries = [(l, i) for _ in range(2) for l in range(layers) for i in range(max_order + 1)]
+        got = [layer_weight(table, l, i) for l, i in queries]
+        assert [d.abs_calls for diffs in table.per_layer for d in diffs] == [1] * layers * (max_order + 1)
+        assert got == [reference_layer_weight(table, l, i) for l, i in queries]
+
 
 class TestPredict:
     def test_affine_exact(self):
@@ -187,6 +255,31 @@ class TestPredict:
         monkeypatch.setattr(pred_mod, "layer_weight", lambda t, l, i: 1.0)
         on = predict(cache, table, hist, 2, PredictorConfig(5, 3, 1.5, True))
         assert np.array_equal(off.per_layer[0], on.per_layer[0])
+
+    @pytest.mark.parametrize("max_order", [1, 3])
+    def test_layer_weight_hook_point(self, monkeypatch, max_order):
+        # perfbench/tracer.py counts layer_weight by wrapping predictor.layer_weight, and
+        # pins its calls, so predict must look it up once per (layer, order) when warmed.
+        original = inspect.getattr_static(pred_mod, "layer_weight")
+        assert inspect.isfunction(original)
+        rng = SeededRng(5)
+        layers, spacing = 3, 5
+        cfg = PredictorConfig(anchor_spacing=spacing, max_order=max_order)
+        cache, hist = AnchorCache(spacing, max_order + 1), SigmaHistory()
+        for step in range(0, spacing * (max_order + 1), spacing):
+            cache.push(step, LayerOutputs([rng.normal(4) for _ in range(layers)], (4,)), hist)
+        table = finite_differences(cache)
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1:])
+            return original(*args)
+
+        monkeypatch.setattr(pred_mod, "layer_weight", counting)
+        for k in range(1, spacing):
+            calls.clear()
+            predict(cache, table, hist, k, cfg)
+            assert calls == [(l, i) for l in range(layers) for i in range(1, max_order + 1)]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
