@@ -36,12 +36,32 @@ class SeededRng:
         return self._gen.standard_normal(shape)
 
 
-def stats(x: np.ndarray) -> FeatureStats:
-    """Global mean and population standard deviation over all elements."""
+def mean(x) -> float:
+    """Mean over all elements.
+
+    The one reduction ``ndarray.mean`` runs, without its Python wrapper, so
+    the result is bitwise equal to ``float(np.mean(x))`` on float64 input.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("empty input")
-    return FeatureStats(float(x.mean()), float(x.std()))
+    return float(np.add.reduce(x, axis=None) / x.size)
+
+
+def stats(x: np.ndarray) -> FeatureStats:
+    """Global mean and population standard deviation over all elements.
+
+    The ufunc sequence of ``ndarray.std`` with the mean computed once, so both
+    values are bitwise equal to ``x.mean()`` and ``x.std()`` on float64 input.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = x.size
+    if n == 0:
+        raise ValueError("empty input")
+    mu = np.add.reduce(x, axis=None) / n
+    d = x - mu
+    d *= d
+    return FeatureStats(float(mu), float(np.sqrt(np.add.reduce(d, axis=None) / n)))
 
 
 def relative_l2(a: np.ndarray, b: np.ndarray) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SeededRng
+from .core import SeededRng, mean
 # Bound under this name because perfbench/tracer.py times fusion by wrapping flow_model.fuse_streams.
 from .norm_fusion import normalize_fuse as fuse_streams
 
@@ -145,14 +145,14 @@ def velocity_loss(pred: np.ndarray, x0: np.ndarray, x1: np.ndarray) -> float:
     """MSE between the predicted velocity and the true velocity x1 - x0."""
     if pred.shape != x0.shape or x0.shape != x1.shape:
         raise ValueError("shape mismatch")
-    return float(np.mean((pred - (x1 - x0)) ** 2))
+    return mean((pred - (x1 - x0)) ** 2)
 
 
 def masked_recon_loss(z_gt: np.ndarray, z_eps: np.ndarray, masks: MaskPair) -> float:
     """Reconstruction MSE with face/lip regions up-weighted by (1 + face + lip)."""
     if z_gt.shape != z_eps.shape or masks.face.shape != z_gt.shape or masks.lip.shape != z_gt.shape:
         raise ValueError("shape mismatch")
-    return float(np.mean(((z_gt - z_eps) * (1.0 + masks.face + masks.lip)) ** 2))
+    return mean(((z_gt - z_eps) * (1.0 + masks.face + masks.lip)) ** 2)
 
 
 def euler_step(z: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .core import SeededRng, relative_l2
+from .core import SeededRng, mean, relative_l2
 from .flow_model import FUSION_MODES, SamplerConfig, build_model
 from .predictor import PredictorConfig
 from .windows import WindowPlan, plan_windows, run_long
@@ -160,7 +160,7 @@ def run_experiment(cfg: ExperimentConfig, keep_trajectory: bool = False) -> Metr
         errs = [relative_l2(a, o) for a, o in zip(accel_traj[1:], oracle_traj[1:])]
         per_step += np.asarray(errs)
         finals.append(errs[-1])
-        means.append(float(np.mean(errs)))
+        means.append(mean(errs))
         last_traj = accel_traj
 
     per_step /= cfg.repetitions
@@ -175,8 +175,8 @@ def run_experiment(cfg: ExperimentConfig, keep_trajectory: bool = False) -> Metr
         full_eval_count=full_evals,
         predicted_step_count=cfg.steps - full_evals,
         wall_clock_ms=wall_ms,
-        rel_err_final=float(np.mean(finals)),
-        rel_err_mean=float(np.mean(means)),
+        rel_err_final=mean(finals),
+        rel_err_mean=mean(means),
         per_step_errors=per_step.tolist(),
         trajectory=last_traj if keep_trajectory else None,
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS
+from .core import EPS, mean
 from .flow_model import LayerOutputs
 
 
@@ -51,7 +51,7 @@ class SigmaHistory:
 
     @property
     def average(self) -> float:
-        return float(np.mean(self.sigmas)) if self.sigmas else 0.0
+        return mean(self.sigmas) if self.sigmas else 0.0
 
 
 class AnchorCache:
@@ -158,9 +158,9 @@ def layer_weight(table: DiffTable, layer: int, order: int) -> float:
         raise ValueError(f"order {order} not present in difference table")
     weights = table.weights.get(order)
     if weights is None:
-        mags = [float(np.mean(np.abs(diffs[order]))) for diffs in table.per_layer]
-        mean = max(float(np.mean(mags)), EPS)
-        weights = table.weights[order] = [1.0 / math.sqrt(max(mag / mean, EPS)) for mag in mags]
+        mags = [mean(np.abs(diffs[order])) for diffs in table.per_layer]
+        avg = max(mean(mags), EPS)
+        weights = table.weights[order] = [1.0 / math.sqrt(max(mag / avg, EPS)) for mag in mags]
     return weights[layer]
 
 

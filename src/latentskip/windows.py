@@ -31,12 +31,15 @@ def plan_windows(total: int, window: int, overlap: int) -> WindowPlan:
 
     The final span is clamped to end exactly at ``total``, so it may be
     shorter than ``window``; it still shares exactly ``overlap`` frames with
-    its predecessor and is longer than ``overlap``.
+    its predecessor and is longer than ``overlap``. A plan of more than one
+    span needs ``overlap >= 2``, the shortest 0..1 blend ramp.
     """
     if not 0 < overlap < window:
         raise ValueError("overlap must satisfy 0 < overlap < window")
     if window > total:
         raise ValueError("window must not exceed the total length")
+    if window < total and overlap < 2:
+        raise ValueError("overlap must be >= 2 when the window is shorter than the total length")
     spans = []
     s, e = 0, min(window, total)
     spans.append((s, e))

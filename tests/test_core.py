@@ -1,8 +1,36 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from latentskip.core import SeededRng, relative_l2, stats
+from latentskip.core import SeededRng, mean, relative_l2, stats
+
+# Finite float64 values from subnormals to 1e300, signed zeros included.
+FLOATS = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+VIEWS = {"as-is": lambda a: a, "T": lambda a: a.T, "step2": lambda a: a[::2],
+         "T-step2": lambda a: a.T[::2]}
+
+
+@st.composite
+def reduction_inputs(draw):
+    """0-d to 3-d float64 arrays (maybe a strided view) or float lists.
+
+    Arrays are constant, drawn element by element, or seeded normals scaled by
+    10**e for e in -310..300; hypothesis favours round values, whose sums are
+    exact in any order, and the normals are what make a changed order show.
+    """
+    if draw(st.booleans()):
+        return draw(st.lists(FLOATS, min_size=1, max_size=40))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=6))
+    kind = draw(st.sampled_from(["constant", "elements", "scaled-normal"]))
+    if kind == "constant":
+        x = np.full(shape, draw(FLOATS))
+    elif kind == "elements":
+        x = draw(hnp.arrays(np.float64, shape, elements=FLOATS, fill=st.nothing()))
+    else:
+        x = SeededRng(draw(st.integers(0, 2**32))).normal(shape) * 10.0 ** draw(st.integers(-310, 300))
+    view = draw(st.sampled_from(sorted(VIEWS))) if x.ndim else "as-is"
+    return VIEWS[view](x)
 
 
 def test_stats_hand_examples():
@@ -26,6 +54,27 @@ def test_stats_population_divisor():
 def test_stats_empty_rejected():
     with pytest.raises(ValueError, match="empty input"):
         stats(np.array([]))
+
+
+@pytest.mark.parametrize("empty", [[], np.array([]), np.zeros((0, 3))])
+def test_mean_empty_rejected(empty):
+    with pytest.raises(ValueError, match="empty input"):
+        mean(empty)
+
+
+@given(reduction_inputs())
+def test_reductions_bitwise_equal_numpy(x):
+    # mean and stats skip NumPy's _methods wrappers; a NumPy whose ndarray.mean/std
+    # reduce differently shows up here first.
+    before = np.array(x, copy=True)
+    with np.errstate(all="ignore"):  # squares of 1e300 overflow to inf on both sides
+        got_mean, got = mean(x), stats(x)
+        ref_mean = float(np.mean(x))
+        arr = np.asarray(x)
+        ref = (float(arr.mean()), float(arr.std()))
+    assert float.hex(got_mean) == float.hex(ref_mean)
+    assert (float.hex(got.mean), float.hex(got.std)) == tuple(map(float.hex, ref))
+    assert np.array_equal(np.asarray(x), before)  # the input is not written to
 
 
 def test_relative_l2_examples():

@@ -209,6 +209,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    def test_multi_span_overlap_one_rejected_alike(self, capsys):
+        # plan and sample validate the overlap in the same place, so they fail alike
+        errors = []
+        for argv in (["plan", "-L", "20", "--window", "8", "--overlap", "1"],
+                     ["sample", "-T", "4", "-L", "20", "--window", "8", "--overlap", "1"]):
+            assert main(argv) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == "error: overlap must be >= 2 when the window is shorter than the total length\n"
+        assert main(["plan", "-L", "8", "--window", "8", "--overlap", "1"]) == 0
+
     def test_zero_cond_dim_runs(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(dict(SMALL_RUN, cond_dim=0)))
