@@ -7,6 +7,7 @@ evaluation counts and relative-L2 errors against the oracle trajectory.
 
 from __future__ import annotations
 
+import base64
 import csv
 import io
 import itertools
@@ -25,7 +26,7 @@ from .windows import WindowPlan, plan_windows, run_long
 CSV_HEADER = ["mode", "K", "n", "alpha", "T", "L", "l", "v",
               "evals", "predicted", "wall_ms", "rel_err_final", "rel_err_mean"]
 
-TRAJECTORY_SCHEMA_VERSION = 1
+TRAJECTORY_SCHEMA_VERSION = 2
 
 
 class TrajectoryFormatError(ValueError):
@@ -221,29 +222,68 @@ def reports_to_csv(reports: list[MetricsReport]) -> str:
 
 
 def dump_trajectory(trajectory: list, path: str):
-    """Write latents as versioned JSON; float64 values round-trip bitwise."""
-    doc = {
-        "version": TRAJECTORY_SCHEMA_VERSION,
-        "tensors": [
-            {"shape": list(np.asarray(z).shape), "data": np.asarray(z, dtype=np.float64).ravel().tolist()}
-            for z in trajectory
-        ],
-    }
+    """Write latents as version 2 JSON: ``{"version": 2, "tensors": [{"shape", "data"}]}``.
+
+    Each ``data`` is the padded standard base64 (RFC 4648) of the tensor's
+    little-endian float64 bytes in C order, so every bit pattern, NaN
+    payloads included, round-trips, and equal latents give byte-identical
+    files.
+    """
+    tensors = []
+    for z in trajectory:
+        z = np.asarray(z, dtype="<f8")
+        tensors.append({"shape": list(z.shape), "data": base64.b64encode(z.tobytes()).decode("ascii")})
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps({"version": TRAJECTORY_SCHEMA_VERSION, "tensors": tensors}))
+
+
+def _decode_tensor(record, version: int) -> np.ndarray:
+    """One tensor record as a fresh, writable, C-contiguous float64 array."""
+    if type(record) is not dict or "shape" not in record or "data" not in record:
+        raise TrajectoryFormatError("tensor record must be an object with shape and data")
+    shape, data = record["shape"], record["data"]
+    if type(shape) is not list or not all(type(d) is int and d >= 0 for d in shape):
+        raise TrajectoryFormatError(f"shape must be a list of integers >= 0, got {shape!r}")
+    count = math.prod(shape)
+    if version == 1:
+        if type(data) is not list or not all(type(x) in (int, float) for x in data):
+            raise TrajectoryFormatError("version 1 data must be a flat list of numbers")
+        if len(data) != count:
+            raise TrajectoryFormatError(f"{len(data)} values for shape {shape}")
+        try:
+            return np.array(data, dtype=np.float64).reshape(shape)
+        except OverflowError as exc:
+            raise TrajectoryFormatError(f"bad tensor value: {exc}") from exc
+    if type(data) is not str:
+        raise TrajectoryFormatError("version 2 data must be a base64 string")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
+        raise TrajectoryFormatError(f"bad base64 data: {exc}") from exc
+    if len(raw) != 8 * count:
+        raise TrajectoryFormatError(f"{len(raw)} bytes for shape {shape}, expected {8 * count}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 def load_trajectory(path: str) -> list:
+    """Read a file written by ``dump_trajectory``: version 2, or version 1's decimal lists.
+
+    Returns fresh, writable, C-contiguous float64 arrays. A malformed file or
+    tensor record (shape not a list of integers >= 0, element count not
+    ``prod(shape)``) is a ``TrajectoryFormatError``; any version other than
+    1 or 2 is a ``TrajectoryVersionError``.
+    """
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
             raise TrajectoryFormatError(f"malformed trajectory file: {exc}") from exc
     if not isinstance(doc, dict) or "version" not in doc:
         raise TrajectoryFormatError("missing version field")
-    if doc["version"] != TRAJECTORY_SCHEMA_VERSION:
-        raise TrajectoryVersionError(f"unsupported version {doc['version']!r}")
-    try:
-        return [np.asarray(t["data"], dtype=np.float64).reshape(t["shape"]) for t in doc["tensors"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TrajectoryFormatError(f"bad tensor record: {exc}") from exc
+    version = doc["version"]
+    if type(version) is not int or version not in (1, TRAJECTORY_SCHEMA_VERSION):
+        raise TrajectoryVersionError(f"unsupported version {version!r}")
+    tensors = doc.get("tensors")
+    if type(tensors) is not list:
+        raise TrajectoryFormatError("tensors must be a list")
+    return [_decode_tensor(t, version) for t in tensors]

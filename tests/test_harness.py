@@ -1,4 +1,5 @@
 import argparse
+import base64
 import json
 import math
 import os
@@ -100,13 +101,72 @@ class TestAblation:
 
 
 EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, MAX_FLOAT, -MAX_FLOAT])
-TENSORS = st.lists(arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
-                          elements=st.floats(allow_nan=False, allow_infinity=False) | EDGE_FLOATS),
-                   max_size=5)
+SHAPES = array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+# Raw float64 bit patterns: any uint64, plus +-inf and NaNs with payloads, quiet and signalling.
+BIT_PATTERNS = st.integers(0, 2**64 - 1) | st.sampled_from(
+    [0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000, 0x7FF8000000000001,
+     0x7FF0000000000001, 0xFFF4000000000ABC, 0xFFFFFFFFFFFFFFFF])
+# Layouts dump_trajectory must accept: views that are not C-contiguous, and big-endian copies.
+LAYOUTS = st.sampled_from([
+    lambda a: a,
+    lambda a: a.T,
+    lambda a: a[::2] if a.ndim else a,
+    lambda a: a.T[::-2] if a.ndim else a,
+    lambda a: a.astype(">f8"),
+    lambda a: a.astype(">f8").T,
+])
+TENSORS = st.lists(
+    st.builds(lambda a, layout: layout(a),
+              arrays(np.float64, SHAPES,
+                     elements=st.floats(allow_nan=False, allow_infinity=False) | EDGE_FLOATS)
+              | arrays(np.uint64, SHAPES, elements=BIT_PATTERNS).map(lambda a: a.view(np.float64)),
+              LAYOUTS),
+    max_size=5)
+
+
+def b64(*values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+# (version, tensor record) pairs that load_trajectory must reject as malformed.
+BAD_RECORDS = {
+    "negative dim": (1, {"shape": [-1], "data": [1.0, 2.0, 3.0]}),
+    "inferred dim": (1, {"shape": [2, -1], "data": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}),
+    "negative dims, positive count": (1, {"shape": [-1, -1], "data": [1.0]}),
+    "int shape": (1, {"shape": 3, "data": [1.0, 2.0, 3.0]}),
+    "bool dim": (1, {"shape": [True], "data": [1.0]}),
+    "float dim": (1, {"shape": [2.0], "data": [1.0, 2.0]}),
+    "nested data": (1, {"shape": [2, 2], "data": [[1.0, 2.0], [3.0, 4.0]]}),
+    "string value": (1, {"shape": [1], "data": ["1.5"]}),
+    "bool value": (1, {"shape": [1], "data": [True]}),
+    "too few values": (1, {"shape": [3], "data": [1.0, 2.0]}),
+    "too many values": (1, {"shape": [1], "data": [1.0, 2.0]}),
+    "int beyond float64": (1, {"shape": [1], "data": [10**400]}),
+    "base64 in version 1": (1, {"shape": [1], "data": b64(1.0)}),
+    "list in version 2": (2, {"shape": [1], "data": [1.0]}),
+    "v2 negative dim": (2, {"shape": [-1], "data": b64(1.0)}),
+    "v2 negative dims, positive count": (2, {"shape": [-2, -1], "data": b64(1.0, 2.0)}),
+    "v2 int shape": (2, {"shape": 1, "data": b64(1.0)}),
+    "too few bytes": (2, {"shape": [2], "data": b64(1.0)}),
+    "too many bytes": (2, {"shape": [1], "data": b64(1.0, 2.0)}),
+    "partial float": (2, {"shape": [1], "data": base64.b64encode(bytes(7)).decode("ascii")}),
+    "unpadded base64": (2, {"shape": [1], "data": b64(1.0).rstrip("=")}),
+    "not base64": (2, {"shape": [1], "data": "!!!!!!!!!!!!"}),
+    "junk inside base64": (2, {"shape": [1], "data": "AAAA*AAAA8D8="}),
+    "non-ascii data": (2, {"shape": [1], "data": "AAAAAAAA8D\u00e9="}),
+    "missing data": (2, {"shape": [1]}),
+    "missing shape": (2, {"data": b64(1.0)}),
+    "record not an object": (2, [[1], b64(1.0)]),
+}
+
+
+def assert_fresh_float64(a):
+    assert a.dtype == np.dtype(np.float64)
+    assert a.flags.writeable and a.flags.c_contiguous
 
 
 class TestTrajectoryIO:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(traj=TENSORS)
     def test_round_trip_bitwise(self, traj):
         with tempfile.TemporaryDirectory() as tmp:
@@ -116,7 +176,56 @@ class TestTrajectoryIO:
         assert len(loaded) == len(traj)
         for a, b in zip(traj, loaded):
             assert a.shape == b.shape
+            assert np.ascontiguousarray(a, dtype=np.float64).tobytes() == b.tobytes()
+            assert_fresh_float64(b)
+
+    def test_version_2_layout(self, tmp_path):
+        path = tmp_path / "traj.json"
+        dump_trajectory([np.array([1.0, -2.0]), np.array([[0.5]])], path)
+        assert json.loads(path.read_text()) == {"version": 2, "tensors": [
+            {"shape": [2], "data": "AAAAAAAA8D8AAAAAAAAAwA=="},
+            {"shape": [1, 1], "data": "AAAAAAAA4D8="},
+        ]}
+
+    def test_version_1_file_loads_bitwise(self, tmp_path):
+        rng = np.random.default_rng(0)
+        traj = [rng.standard_normal((3, 4)) * 10.0 ** rng.integers(-300, 300, (3, 4)),
+                np.array(5e-324), np.zeros((0, 2)),
+                np.array([np.inf, -np.inf, -0.0, MAX_FLOAT, 2.0**60])]
+        path = tmp_path / "v1.json"
+        # How version 1 was written: decimal lists through json.
+        doc = {"version": 1, "tensors": [
+            {"shape": list(z.shape), "data": np.asarray(z, dtype=np.float64).ravel().tolist()} for z in traj]}
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        loaded = load_trajectory(path)
+        assert len(loaded) == len(traj)
+        for a, b in zip(traj, loaded):
+            assert a.shape == b.shape
             assert a.tobytes() == b.tobytes()
+            assert_fresh_float64(b)
+        path.write_text(json.dumps({"version": 3, "tensors": []}))
+        with pytest.raises(TrajectoryVersionError, match="unsupported version 3"):
+            load_trajectory(path)
+
+    @pytest.mark.parametrize("version, record", BAD_RECORDS.values(), ids=BAD_RECORDS.keys())
+    def test_malformed_record_rejected(self, tmp_path, version, record):
+        path = tmp_path / "traj.json"
+        path.write_text(json.dumps({"version": version, "tensors": [record]}))
+        with pytest.raises(TrajectoryFormatError):
+            load_trajectory(path)
+
+    @pytest.mark.parametrize("content", [
+        b'{"version": 2}',
+        b'{"version": 2, "tensors": {}}',
+        b'{"version": 2, "tensors": [], "extra": \xff}',
+        b'{"version": 1, "tensors": [{"shape": [1], "data": [1' + b"0" * 5000 + b']}]}',
+    ], ids=["no tensors", "tensors not a list", "bad utf-8", "5001-digit integer"])
+    def test_malformed_document_rejected(self, tmp_path, content):
+        path = tmp_path / "traj.json"
+        path.write_bytes(content)
+        with pytest.raises(TrajectoryFormatError):
+            load_trajectory(path)
 
     def test_truncated_file_is_schema_error(self, tmp_path):
         path = tmp_path / "traj.json"
