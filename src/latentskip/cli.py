@@ -52,10 +52,10 @@ def _load_config(args) -> harness.ExperimentConfig:
 def cmd_sample(args) -> int:
     cfg = _load_config(args)
     report = harness.run_experiment(cfg, keep_trajectory=cfg.out_path is not None)
-    print(harness.reports_to_csv([report]), end="")
-    if cfg.out_path:
+    if cfg.out_path:  # before the row, so a failed write prints no result
         harness.dump_trajectory(report.trajectory, cfg.out_path)
         print(f"trajectory written to {cfg.out_path}", file=sys.stderr)
+    print(harness.reports_to_csv([report]), end="")
     return 0
 
 

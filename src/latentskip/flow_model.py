@@ -8,6 +8,7 @@ like it would on a real layered denoiser, at desk scale.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,10 +26,12 @@ class LayerOutputs:
 
     ``per_layer[i]`` has shape (frames, layer_width); the last layer maps
     back to the frame feature width so ``final`` is a velocity with the
-    input latent's shape.
+    input latent's shape. A model evaluation gives a list; a predicted step
+    gives a read-only sequence that builds each hidden layer on its first
+    read (``predictor.PredictedLayers``).
     """
 
-    per_layer: list  # list[np.ndarray], length == layer_count
+    per_layer: Sequence  # of np.ndarray, length == layer_count
     shape: tuple     # latent shape the final output reshapes to
 
     @property
@@ -59,7 +62,7 @@ class MaskPair:
 
     def __post_init__(self):
         for m in (self.face, self.lip):
-            if np.min(m) < 0.0 or np.max(m) > 1.0:
+            if not (np.min(m) >= 0.0 and np.max(m) <= 1.0):  # NaN compares False, so it is rejected too
                 raise ValueError("mask elements must lie in [0, 1]")
 
 
@@ -159,8 +162,8 @@ def euler_step(z: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
     """Advance the latent from t to t-dt with constant velocity v."""
     if z.shape != v.shape:
         raise ValueError("shape mismatch")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:  # NaN compares False, so it is rejected too
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     return z - dt * v
 
 

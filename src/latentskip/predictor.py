@@ -12,6 +12,8 @@ cross-layer average.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,13 +166,46 @@ def layer_weight(table: DiffTable, layer: int, order: int) -> float:
     return weights[layer]
 
 
+def extrapolate_layer(diffs: list, terms: list) -> np.ndarray:
+    """diffs[0] + sum_i diffs[i] * num_i / den_i over the (num_i, den_i) of orders 1..m."""
+    acc = diffs[0].copy()
+    for i, (num, den) in enumerate(terms, start=1):
+        acc += diffs[i] * num / den
+    return acc
+
+
+class PredictedLayers(Sequence):
+    """Read-only per-layer outputs of a predicted step; each is built on its first read.
+
+    Layer l is ``extrapolate_layer(diffs[l], terms[l])``. The terms are fixed
+    by ``predict``, so a layer first read after the next anchor still uses the
+    correctors of the step it was predicted at.
+    """
+
+    def __init__(self, diffs: list, terms: list):
+        self._diffs = diffs
+        self._terms = terms
+        self._layers = [None] * len(terms)
+
+    def __len__(self) -> int:
+        return len(self._layers)
+
+    def __getitem__(self, l) -> np.ndarray:
+        l = operator.index(l)
+        if self._layers[l] is None:
+            self._layers[l] = extrapolate_layer(self._diffs[l], self._terms[l])
+        return self._layers[l]
+
+
 def predict(cache: AnchorCache, table: DiffTable, hist: SigmaHistory,
             k: int, cfg: PredictorConfig) -> LayerOutputs:
-    """Extrapolate all layer outputs k steps past the newest anchor.
+    """Extrapolate the layer outputs k steps past the newest anchor.
 
     Per layer: f(a) + sum_{i=1..m} diff_i * (-k)^i / (i! * K^i * w_i * s),
     with m capped by both max_order and the cached history. The correctors
-    stay neutral while the cache is still warming up.
+    stay neutral while the cache is still warming up. Every layer's scalar
+    terms are computed here; the final layer, the one the sampler reads, is
+    built here too, and the others on their first read (``PredictedLayers``).
     """
     if not 1 <= k <= cfg.anchor_spacing - 1:
         raise ValueError(f"k must lie in [1, {cfg.anchor_spacing - 1}]")
@@ -181,14 +216,16 @@ def predict(cache: AnchorCache, table: DiffTable, hist: SigmaHistory,
     use_dynamics = cfg.dynamics_enabled and warmed
     s = scale_s(hist, cfg.alpha) if use_dynamics else 1.0
     spacing = cfg.anchor_spacing
-    predicted = []
-    for l, diffs in enumerate(table.per_layer):
-        acc = diffs[0].copy()
+    terms = []
+    for l in range(len(table.per_layer)):
+        row = []
         for i in range(1, m + 1):
             w = layer_weight(table, l, i) if use_dynamics else 1.0
-            acc += diffs[i] * (-k) ** i / (math.factorial(i) * spacing ** i * w * s)
-        predicted.append(acc)
-    return LayerOutputs(predicted, cache.newest.shape)
+            row.append(((-k) ** i, math.factorial(i) * spacing ** i * w * s))
+        terms.append(row)
+    layers = PredictedLayers(table.per_layer, terms)
+    layers[-1]  # built now: run_long reads only the final layer, right after this returns
+    return LayerOutputs(layers, cache.newest.shape)
 
 
 def is_anchor_step(step_index: int, cfg: PredictorConfig) -> bool:

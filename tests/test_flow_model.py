@@ -156,6 +156,16 @@ class TestLosses:
         with pytest.raises(ValueError):
             MaskPair(np.array([1.5]), np.array([0.0]))
 
+    @pytest.mark.parametrize("face, lip", [
+        ([np.nan], [0.0]),
+        ([0.5], [np.nan]),
+        ([0.0, np.nan, 1.0], [0.5, 0.5, 0.5]),
+        ([np.nan, np.nan], [np.nan, np.nan]),
+    ])
+    def test_mask_nan_rejected(self, face, lip):
+        with pytest.raises(ValueError, match="mask elements"):
+            MaskPair(np.array(face), np.array(lip))
+
 
 class TestEulerAndSampler:
     def test_zero_velocity(self):
@@ -164,6 +174,11 @@ class TestEulerAndSampler:
 
     def test_hand_example(self):
         assert euler_step(np.array([1.0]), np.array([1.0]), 0.5) == np.array([0.5])
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf"), float("-inf")])
+    def test_bad_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            euler_step(np.zeros(4), np.ones(4), dt)
 
     def test_step_composition_on_constant_field(self):
         z, v = SeededRng(1).normal(4), SeededRng(2).normal(4)

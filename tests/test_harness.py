@@ -268,6 +268,14 @@ class TestCli:
         loaded = load_trajectory(p1)
         assert len(loaded) == 11
 
+    def test_sample_unwritable_out_prints_no_row(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["sample", "-T", "4", "-L", "8", "--window", "8", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+        assert not out.parent.exists()
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"steps": 10, "frames": 8, "window": 8, "anchor_spacing": 5}))

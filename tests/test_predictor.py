@@ -9,8 +9,8 @@ from hypothesis.extra.numpy import arrays
 import latentskip.predictor as pred_mod
 from latentskip.core import EPS, SeededRng
 from latentskip.flow_model import LayerOutputs, SamplerConfig, build_model, sample_full
-from latentskip.predictor import (AnchorCache, DiffTable, PredictorConfig, SigmaHistory,
-                                  difference_rows, finite_differences, is_anchor_step,
+from latentskip.predictor import (AnchorCache, DiffTable, PredictorConfig, PredictorState,
+                                  SigmaHistory, difference_rows, finite_differences, is_anchor_step,
                                   layer_weight, predict, sample_accelerated, scale_s)
 
 
@@ -52,6 +52,31 @@ def diff_tables(draw):
                           else draw(arrays(np.float64, width, elements=values))
                           for i in range(max_order + 1)])
     return DiffTable(per_layer)
+
+
+def reference_predict(cache, table, hist, k, cfg):
+    """Every layer extrapolated eagerly, as one loop; predict's layers must equal it bitwise."""
+    m = min(cfg.max_order, len(cache) - 1)
+    use_dynamics = cfg.dynamics_enabled and len(cache) >= cfg.max_order + 1 and bool(hist.sigmas)
+    s = scale_s(hist, cfg.alpha) if use_dynamics else 1.0
+    layers = []
+    for l, diffs in enumerate(table.per_layer):
+        acc = diffs[0].copy()
+        for i in range(1, m + 1):
+            w = reference_layer_weight(table, l, i) if use_dynamics else 1.0
+            acc += diffs[i] * (-k) ** i / (math.factorial(i) * cfg.anchor_spacing ** i * w * s)
+        layers.append(acc)
+    return layers
+
+
+class ListModel:
+    """Stands in for a model: eval returns the given LayerOutputs one after another."""
+
+    def __init__(self, outputs):
+        self.outputs = iter(outputs)
+
+    def eval(self, z, t, cond):
+        return next(self.outputs)
 
 
 def scalar_outputs(value):
@@ -280,6 +305,62 @@ class TestPredict:
             calls.clear()
             predict(cache, table, hist, k, cfg)
             assert calls == [(l, i) for l in range(layers) for i in range(1, max_order + 1)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=diff_tables(), data=st.data())
+    def test_layers_match_eager_reference_in_any_read_order(self, table, data):
+        layers, width = len(table.per_layer), table.per_layer[-1][0].size
+        spacing = data.draw(st.integers(2, 5))
+        max_order = data.draw(st.integers(0, table.max_order))
+        cfg = PredictorConfig(spacing, max_order, data.draw(st.floats(0.5, 1.5)), data.draw(st.booleans()))
+        cache = AnchorCache(spacing, max_order + 1)
+        for a in range(data.draw(st.integers(1, max_order + 1))):
+            cache.push(a * spacing, LayerOutputs([np.zeros(width)], (width,)))
+        hist = SigmaHistory()
+        for sigma in data.draw(st.lists(st.floats(0.0, 1e3), max_size=4)):
+            hist.record(sigma)
+        k = data.draw(st.integers(1, spacing - 1))
+        expected = reference_predict(cache, table, hist, k, cfg)
+
+        by_index = predict(cache, table, hist, k, cfg)
+        assert len(by_index.per_layer) == layers == len(by_index)
+        for l in data.draw(st.lists(st.integers(-layers, layers - 1))):
+            assert np.array_equal(by_index.per_layer[l], expected[l])
+            assert by_index.per_layer[l] is by_index.per_layer[l]
+        assert np.array_equal(by_index.final, expected[-1].reshape(width))
+        by_iteration = list(predict(cache, table, hist, k, cfg).per_layer)
+        assert len(by_iteration) == layers
+        assert all(np.array_equal(got, want) for got, want in zip(by_iteration, expected))
+        with pytest.raises(IndexError):
+            by_index.per_layer[layers]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_layer_read_after_next_anchor_keeps_predict_time_value(self, data):
+        # The next anchor records a new sigma and replaces the table, so a layer
+        # built from the state at read time would differ from one built at predict time.
+        layers = data.draw(st.integers(2, 5))
+        hidden, final = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=2, unique=True))
+        spacing, max_order = data.draw(st.integers(2, 5)), data.draw(st.integers(0, 3))
+        cfg = PredictorConfig(spacing, max_order, data.draw(st.floats(0.5, 1.5)), data.draw(st.booleans()))
+        anchors = data.draw(st.integers(1, max_order + 2))
+        values = st.floats(-10, 10, allow_nan=False)
+        outputs = [LayerOutputs([data.draw(arrays(np.float64, final if l == layers - 1 else hidden,
+                                                  elements=values)) for l in range(layers)], (final,))
+                   for _ in range(anchors + 1)]
+        model, state = ListModel(outputs), PredictorState(cfg)
+        k = data.draw(st.integers(1, spacing - 1))
+        for j in range((anchors - 1) * spacing + k):
+            state.step(model, None, 0.0, None, j)
+        expected = reference_predict(state.cache, state.table, state.hist, k, cfg)
+        out = state.step(model, None, 0.0, None, (anchors - 1) * spacing + k)
+        early = data.draw(st.sets(st.integers(0, layers - 1)))
+        for l in early:
+            assert np.array_equal(out.per_layer[l], expected[l])
+        for j in range((anchors - 1) * spacing + k + 1, anchors * spacing + 1):
+            state.step(model, None, 0.0, None, j)
+        assert state.evals == anchors + 1
+        assert all(np.array_equal(got, want) for got, want in zip(out.per_layer, expected))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latentskip import predictor
 from latentskip.core import SeededRng
 from latentskip.flow_model import SamplerConfig, build_model, euler_step, sample_full
 from latentskip.predictor import PredictorConfig, sample_accelerated
@@ -136,6 +137,25 @@ class TestRunLong:
         cfg = SamplerConfig(steps=10)
         _, evals = run_long(model, z, cond, plan, cfg, PredictorConfig(anchor_spacing=5))
         assert evals == [2, 2, 2, 2]
+
+    def test_accelerated_run_builds_only_final_layers(self, monkeypatch):
+        # run_long reads only .final, so a predicted step extrapolates one layer, not all 16.
+        model = build_model(0, layer_count=16, width=8, latent_dim=6, cond_dim=4)
+        rng = SeededRng(1)
+        z, cond = rng.normal((21, 6)), rng.normal((21, 4))
+        plan, cfg = plan_windows(21, 9, 5), SamplerConfig(steps=10)
+        calls = []
+        original = predictor.extrapolate_layer
+
+        def counting(diffs, terms):
+            calls.append(len(terms))
+            return original(diffs, terms)
+
+        monkeypatch.setattr(predictor, "extrapolate_layer", counting)
+        _, evals = run_long(model, z, cond, plan, cfg, PredictorConfig(anchor_spacing=5))
+        predicted_steps = cfg.steps - evals[0]
+        assert len(plan.spans) == 4 and predicted_steps == 8
+        assert len(calls) == predicted_steps * len(plan.spans)
 
     def test_length_mismatch(self, setup):
         model, z, cond = setup
