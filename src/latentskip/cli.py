@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -146,7 +147,9 @@ def cmd_selftest(_args) -> int:
     return 1 if failures else 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The whole argument tree, built on the first call and reused by later ``main`` calls."""
     parser = argparse.ArgumentParser(prog="latentskip",
                                      description="Sampler-acceleration experiments: Taylor-extrapolated "
                                                  "latent prediction with sliding-window scheduling.")
@@ -170,8 +173,11 @@ def main(argv=None) -> int:
 
     p_self = sub.add_parser("selftest", help="run the built-in invariant checks")
     p_self.set_defaults(fn=cmd_selftest)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

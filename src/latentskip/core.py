@@ -7,6 +7,7 @@ shares the same conventions (population std, 1e-8 division guard).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,15 +54,24 @@ def stats(x: np.ndarray) -> FeatureStats:
 
     The ufunc sequence of ``ndarray.std`` with the mean computed once, so both
     values are bitwise equal to ``x.mean()`` and ``x.std()`` on float64 input.
+    The divisions and the square root run on Python floats: the same correctly
+    rounded IEEE operations, without a NumPy scalar per step.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
     if n == 0:
         raise ValueError("empty input")
-    mu = np.add.reduce(x, axis=None) / n
+    mu = float(np.add.reduce(x, axis=None)) / n
     d = x - mu
     d *= d
-    return FeatureStats(float(mu), float(np.sqrt(np.add.reduce(d, axis=None) / n)))
+    return FeatureStats(mu, math.sqrt(float(np.add.reduce(d, axis=None)) / n))
+
+
+def require_finite(**arrays) -> None:
+    """Raise ValueError naming the first argument that holds NaN or inf; None is skipped."""
+    for name, value in arrays.items():
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} contains NaN or inf")
 
 
 def relative_l2(a: np.ndarray, b: np.ndarray) -> float:

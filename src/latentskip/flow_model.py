@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SeededRng, mean
+from .core import SeededRng, mean, require_finite
 # Bound under this name because perfbench/tracer.py times fusion by wrapping flow_model.fuse_streams.
 from .norm_fusion import normalize_fuse as fuse_streams
 
@@ -89,14 +89,17 @@ class ToyModel:
         cond2d = self._cond_frames(cond, frames)
         outs = []
         for w in self.weights:
-            s_img = cond2d @ w["P_img"].T
-            s_p = cond2d @ w["P_p"].T
-            h = np.tanh(h @ w["A"].T + w["b"] + t * w["c"] + fuse_streams(s_img, s_p, self.fusion_mode))
+            # tanh(h A^T + b + t c + fused), summed left to right in one fresh array
+            x = h @ w["A"].T
+            x += w["b"]
+            x += t * w["c"]
+            x += fuse_streams(cond2d @ w["P_img"].T, cond2d @ w["P_p"].T, self.fusion_mode)
+            h = np.tanh(x, out=x)
             outs.append(h)
         return LayerOutputs(outs, z.shape)
 
     def _as_frames(self, z: np.ndarray):
-        if z.ndim > 1 and int(np.prod(z.shape[1:])) == self.latent_dim:
+        if z.ndim > 1 and math.prod(z.shape[1:]) == self.latent_dim:
             return z.shape[0], z.reshape(z.shape[0], self.latent_dim)
         if z.size == self.latent_dim:
             return 1, z.reshape(1, self.latent_dim)
@@ -141,6 +144,7 @@ def forward_diffuse(x0: np.ndarray, x1: np.ndarray, t: float) -> np.ndarray:
         raise ValueError("shape mismatch")
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
+    require_finite(x0=x0, x1=x1)
     return (1.0 - t) * x0 + t * x1
 
 
@@ -148,6 +152,7 @@ def velocity_loss(pred: np.ndarray, x0: np.ndarray, x1: np.ndarray) -> float:
     """MSE between the predicted velocity and the true velocity x1 - x0."""
     if pred.shape != x0.shape or x0.shape != x1.shape:
         raise ValueError("shape mismatch")
+    require_finite(pred=pred, x0=x0, x1=x1)
     return mean((pred - (x1 - x0)) ** 2)
 
 
@@ -155,6 +160,7 @@ def masked_recon_loss(z_gt: np.ndarray, z_eps: np.ndarray, masks: MaskPair) -> f
     """Reconstruction MSE with face/lip regions up-weighted by (1 + face + lip)."""
     if z_gt.shape != z_eps.shape or masks.face.shape != z_gt.shape or masks.lip.shape != z_gt.shape:
         raise ValueError("shape mismatch")
+    require_finite(z_gt=z_gt, z_eps=z_eps)  # MaskPair has checked the masks
     return mean(((z_gt - z_eps) * (1.0 + masks.face + masks.lip)) ** 2)
 
 

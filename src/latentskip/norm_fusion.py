@@ -28,11 +28,20 @@ def normalize_fuse(z_img: np.ndarray, z_p: np.ndarray, mode: str = "ours") -> np
     if mode == "baseline-add":
         return z_p + z_img
     sp, si = stats(z_p), stats(z_img)
-    if mode == "ours":
-        aligned = (z_p - sp.mean) / max(sp.std, EPS) * si.std + si.mean
-        return aligned + z_img
-    if mode == "pure-norm":
-        return (z_p - sp.mean) / max(sp.std, EPS) + z_img
-    if mode == "centralization":
-        return (z_p - sp.mean) / max(sp.std, EPS) + (z_img - si.mean) / max(si.std, EPS)
-    raise ValueError(f"unknown fusion mode {mode!r}")
+    # Each result is one fresh array updated in place, in the order of the
+    # expression it stands for, so it is bitwise equal to that expression.
+    out = z_p - sp.mean
+    out /= max(sp.std, EPS)
+    if mode == "ours":  # (z_p - mean_p) / std_p * std_img + mean_img + z_img
+        out *= si.std
+        out += si.mean
+        out += z_img
+    elif mode == "pure-norm":  # (z_p - mean_p) / std_p + z_img
+        out += z_img
+    elif mode == "centralization":  # (z_p - mean_p) / std_p + (z_img - mean_img) / std_img
+        img = z_img - si.mean
+        img /= max(si.std, EPS)
+        out += img
+    else:
+        raise ValueError(f"unknown fusion mode {mode!r}")
+    return out

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import require_finite
 from .flow_model import LayerOutputs, euler_step
 from .predictor import PredictorConfig, PredictorState
 
@@ -62,7 +63,9 @@ def blend_overlap(prev_tail: np.ndarray, cur_head: np.ndarray, weights: np.ndarr
     if prev_tail.shape != cur_head.shape or prev_tail.shape[0] != len(weights):
         raise ValueError("overlap length mismatch")
     w = weights.reshape((len(weights),) + (1,) * (cur_head.ndim - 1))
-    return w * cur_head + (1.0 - w) * prev_tail
+    out = w * cur_head
+    out += (1.0 - w) * prev_tail
+    return out
 
 
 class OracleState:
@@ -92,9 +95,7 @@ def run_long(model, z_T_full: np.ndarray, cond_full, plan: WindowPlan,
     z = np.array(z_T_full, dtype=np.float64)
     if z.shape[0] != plan.total:
         raise ValueError(f"latent has {z.shape[0]} frames, plan expects {plan.total}")
-    for name, value in (("z_T", z), ("cond", cond_full)):
-        if value is not None and not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} contains NaN or inf")
+    require_finite(z_T=z, cond=cond_full)
     per_frame_cond = np.ndim(cond_full) == 2 and np.shape(cond_full)[0] == plan.total
     evaluators = [OracleState() if predictor_cfg is None else PredictorState(predictor_cfg)
                   for _ in plan.spans]

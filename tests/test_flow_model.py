@@ -2,12 +2,14 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latentskip import flow_model
 from latentskip.core import SeededRng
-from latentskip.flow_model import (LayerOutputs, MaskPair, SamplerConfig, build_model,
+from latentskip.flow_model import (FUSION_MODES, LayerOutputs, MaskPair, SamplerConfig, build_model,
                                    euler_step, forward_diffuse, masked_recon_loss,
                                    sample_full, velocity_loss)
+from test_norm_fusion import reference_fuse
 
 
 def small_model(seed=0, **kw):
@@ -80,6 +82,39 @@ class TestToyModel:
             build_model(0, width=1)
 
 
+def reference_eval(model, z, t, cond):
+    """ToyModel.eval written as one expression per layer: the values eval must reproduce bitwise."""
+    h = np.reshape(z, (-1, model.latent_dim))
+    cond2d = np.broadcast_to(cond, (h.shape[0], model.cond_dim))
+    outs = []
+    for w in model.weights:
+        s_img = cond2d @ w["P_img"].T
+        s_p = cond2d @ w["P_p"].T
+        h = np.tanh(h @ w["A"].T + w["b"] + t * w["c"] + reference_fuse(s_img, s_p, model.fusion_mode))
+        outs.append(h)
+    return outs
+
+
+@settings(max_examples=80, deadline=None)
+@given(fusion=st.sampled_from(FUSION_MODES), layers=st.integers(2, 5), width=st.integers(2, 40),
+       latent_dim=st.integers(1, 12), frames=st.integers(1, 17), flat=st.booleans(),
+       cond_dim=st.integers(0, 9), shared=st.booleans(), t=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
+def test_eval_bitwise_equals_reference(fusion, layers, width, latent_dim, frames, flat, cond_dim, shared,
+                                       t, seed):
+    model = build_model(seed, layers, width, latent_dim, cond_dim, fusion)
+    rng = SeededRng(seed + 1)
+    z = rng.normal(latent_dim if flat else (frames, latent_dim))  # flat: a 1-D single-frame latent
+    cond = rng.normal(cond_dim if shared else (z.size // latent_dim, cond_dim))
+    inputs = [z, cond] + [a for w in model.weights for a in w.values()]
+    before = [a.copy() for a in inputs]
+    got = model.eval(z, t, cond).per_layer
+    ref = reference_eval(model, z, t, cond)
+    assert len(got) == len(ref) == layers
+    for g, r in zip(got, ref):
+        assert np.array_equal(g, r)
+    assert all(np.array_equal(a, b) for a, b in zip(inputs, before))  # nothing the caller owns is written
+
+
 class TestForwardDiffuse:
     def test_endpoints(self):
         x0, x1 = SeededRng(1).normal(8), SeededRng(2).normal(8)
@@ -100,6 +135,39 @@ class TestForwardDiffuse:
         lhs = forward_diffuse(x0, x1, a * t1 + (1 - a) * t2)
         rhs = a * forward_diffuse(x0, x1, t1) + (1 - a) * forward_diffuse(x0, x1, t2)
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+def _holding(bad):
+    x = SeededRng(5).normal(3)
+    x[1] = bad
+    return x
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("target", ["x0", "x1"])
+def test_forward_diffuse_rejects_non_finite(bad, target):
+    args = {"x0": np.zeros(3), "x1": np.ones(3), target: _holding(bad)}
+    with pytest.raises(ValueError, match=f"{target} contains NaN or inf"):
+        forward_diffuse(args["x0"], args["x1"], 0.5)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("target", ["pred", "x0", "x1"])
+def test_velocity_loss_rejects_non_finite(bad, target):
+    args = {"pred": np.zeros(3), "x0": np.zeros(3), "x1": np.ones(3), target: _holding(bad)}
+    with pytest.raises(ValueError, match=f"{target} contains NaN or inf"):
+        velocity_loss(args["pred"], args["x0"], args["x1"])
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("target", ["z_gt", "z_eps"])
+def test_masked_recon_loss_rejects_non_finite(bad, target):
+    args = {"z_gt": np.ones(3), "z_eps": np.zeros(3), target: _holding(bad)}
+    with pytest.raises(ValueError, match=f"{target} contains NaN or inf"):
+        masked_recon_loss(args["z_gt"], args["z_eps"], MaskPair(np.zeros(3), np.zeros(3)))
 
 
 class TestLosses:

@@ -1,8 +1,37 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from latentskip.core import SeededRng, stats
+from latentskip.core import EPS, SeededRng, stats
+from latentskip.flow_model import FUSION_MODES
 from latentskip.norm_fusion import normalize_fuse
+
+
+def reference_fuse(z_img, z_p, mode):
+    """normalize_fuse written as one expression per mode, moments from NumPy."""
+    if mode == "baseline-add":
+        return z_p + z_img
+    mp, sp, mi, si = z_p.mean(), z_p.std(), z_img.mean(), z_img.std()
+    if mode == "ours":
+        return (z_p - mp) / max(sp, EPS) * si + mi + z_img
+    if mode == "pure-norm":
+        return (z_p - mp) / max(sp, EPS) + z_img
+    return (z_p - mp) / max(sp, EPS) + (z_img - mi) / max(si, EPS)
+
+
+@st.composite
+def stream_pairs(draw):
+    """Two same-shape float64 streams; either may be constant, so the EPS guard fires."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=7))
+    streams = []
+    for _ in range(2):
+        if draw(st.booleans()):
+            streams.append(np.full(shape, draw(st.floats(-1e3, 1e3))))
+        else:
+            scale = 10.0 ** draw(st.integers(-6, 6))
+            streams.append(SeededRng(draw(st.integers(0, 2**32))).normal(shape) * scale + draw(st.floats(-50, 50)))
+    return streams
 
 
 class TestNormalizeFuse:
@@ -65,3 +94,12 @@ class TestNormalizeFuse:
                            (z_p - mu_p) / sd_p + (z_img - mu_i) / sd_i)
         with pytest.raises(ValueError):
             normalize_fuse(z_img, z_p, "nope")
+
+
+@settings(max_examples=150, deadline=None)
+@given(streams=stream_pairs(), mode=st.sampled_from(FUSION_MODES))
+def test_fuse_bitwise_equals_reference(streams, mode):
+    z_img, z_p = streams
+    before = [z_img.copy(), z_p.copy()]
+    assert np.array_equal(normalize_fuse(z_img, z_p, mode), reference_fuse(z_img, z_p, mode))
+    assert np.array_equal(z_img, before[0]) and np.array_equal(z_p, before[1])  # inputs not written to

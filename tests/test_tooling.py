@@ -1,7 +1,16 @@
+import importlib
+import importlib.util
+import inspect
 import re
+from collections import defaultdict
 from pathlib import Path
 
+import pytest
+
 import latentskip
+from latentskip.flow_model import build_model
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 # core.mean and core.stats are the package's only moments; a direct NumPy call elsewhere
 # would define a second convention and skip the bitwise property held in test_core.
@@ -17,3 +26,40 @@ def test_moments_come_from_core():
             for lineno, line in enumerate(path.read_text().splitlines(), 1)
             if MOMENT_CALL.search(line)]
     assert not hits, "compute moments with core.mean / core.stats:\n" + "\n".join(hits)
+
+
+def _tracer_hooks():
+    """perfbench's HOOKS table, read from its file without installing anything."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.HOOKS
+
+
+def _hook_target(module_name, path):
+    """What the tracer would wrap for one hook, resolved the way it does: a plain function or None."""
+    module = importlib.import_module(f"latentskip.{module_name}")
+    owner_name, _, attr = path.rpartition(".")
+    owner = getattr(module, owner_name, None) if owner_name else module
+    original = inspect.getattr_static(owner, attr, None) if owner is not None else None
+    return original if inspect.isfunction(original) else None
+
+
+def test_every_benchmark_span_has_a_hook_target():
+    # A span whose every hook misses reports its metrics as absent, and only the
+    # slow perfbench smoke test would notice.
+    lookups = defaultdict(list)
+    for module_name, path, name in _tracer_hooks():
+        lookups[name].append((module_name, path))
+    assert lookups, f"no HOOKS in {TRACER}"
+    dead = [name for name, targets in lookups.items()
+            if not any(_hook_target(m, p) for m, p in targets)]
+    assert not dead, f"spans with no plain function to wrap: {dead}"
+
+
+@pytest.mark.parametrize("shape", [{}, {"layer_count": 2, "width": 2, "latent_dim": 3, "cond_dim": 0},
+                                   {"layer_count": 16, "width": 128}])
+def test_weights_keep_the_keys_the_tracer_reads(shape):
+    # The tracer's eval observer counts flops from each layer's A, P_img and P_p.
+    weights = build_model(0, **shape).weights
+    assert weights and all({"A", "P_img", "P_p"} <= w.keys() for w in weights)

@@ -20,6 +20,20 @@ def reference_euler(model, z_T, cond, cfg):
     return trajectory
 
 
+@settings(max_examples=100, deadline=None)
+@given(overlap=st.integers(2, 9), tail=st.lists(st.integers(1, 4), max_size=2), ramp=st.booleans(),
+       seed=st.integers(0, 2**32))
+def test_blend_bitwise_equals_reference(overlap, tail, ramp, seed):
+    rng = SeededRng(seed)
+    shape = (overlap, *tail)
+    prev, cur = rng.normal(shape), rng.normal(shape) * 3.0
+    weights = blend_weights(overlap) if ramp else np.abs(rng.normal(overlap)) % 1.0
+    before = [prev.copy(), cur.copy(), weights.copy()]
+    w = weights.reshape((overlap,) + (1,) * len(tail))
+    assert np.array_equal(blend_overlap(prev, cur, weights), w * cur + (1.0 - w) * prev)
+    assert all(np.array_equal(a, b) for a, b in zip((prev, cur, weights), before))
+
+
 class TestPlan:
     def test_worked_trace(self):
         plan = plan_windows(21, 9, 5)
