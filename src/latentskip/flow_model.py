@@ -1,4 +1,4 @@
-"""Layered toy denoiser, rectified-flow process, losses, and the oracle sampler.
+"""Layered toy denoiser, rectified-flow process, Euler step and losses.
 
 The model is a small tanh MLP applied independently per frame. It is smooth
 in the timestep, so finite-difference extrapolation of its outputs behaves
@@ -172,16 +172,3 @@ def euler_step(z: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
         raise ValueError(f"dt must be finite and positive, got {dt}")
     return z - dt * v
 
-
-def sample_full(model, z_T: np.ndarray, cond: np.ndarray, cfg: SamplerConfig):
-    """Non-accelerated sampler: evaluate the model at every step (the oracle).
-
-    This is ``run_long`` over a single window spanning every frame. Returns
-    (trajectory, evals): steps+1 latents ending at the sample, and the
-    number of full model evaluations (== steps).
-    """
-    from .windows import WindowPlan, run_long  # windows imports this module
-
-    frames = np.shape(z_T)[0]
-    trajectory, evals = run_long(model, z_T, cond, WindowPlan(frames, frames, 0, ((0, frames),)), cfg)
-    return trajectory, evals[0]

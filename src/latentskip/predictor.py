@@ -233,20 +233,6 @@ def is_anchor_step(step_index: int, cfg: PredictorConfig) -> bool:
     return step_index % cfg.anchor_spacing == 0
 
 
-def sample_accelerated(model, z_T: np.ndarray, cond, sampler_cfg, predictor_cfg: PredictorConfig):
-    """Euler sampling with full evaluations only at anchor steps.
-
-    This is ``run_long`` over a single window spanning every frame.
-    Returns (trajectory, evals); evals == ceil(steps / anchor_spacing).
-    """
-    from .windows import WindowPlan, run_long  # windows imports this module
-
-    frames = np.shape(z_T)[0]
-    trajectory, evals = run_long(model, z_T, cond, WindowPlan(frames, frames, 0, ((0, frames),)),
-                                 sampler_cfg, predictor_cfg)
-    return trajectory, evals[0]
-
-
 class PredictorState:
     """Anchor cache + dynamics bookkeeping for one sampling stream.
 

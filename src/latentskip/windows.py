@@ -10,45 +10,48 @@ and ``sample_accelerated`` are ``run_long`` over a single window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import require_finite
-from .flow_model import LayerOutputs, euler_step
+from .flow_model import LayerOutputs, SamplerConfig, euler_step
 from .predictor import PredictorConfig, PredictorState
 
 
 @dataclass(frozen=True)
 class WindowPlan:
+    """Windows of ``window`` frames over ``total``, each advancing by window - overlap.
+
+    ``spans`` is derived: ((start, end), ...) covering [0, total). The final
+    span is clamped to end exactly at ``total``, so it may be shorter than
+    ``window``; it still shares exactly ``overlap`` frames with its
+    predecessor and is longer than ``overlap``. A plan of more than one span
+    needs ``overlap >= 2``, the shortest 0..1 blend ramp; a single window
+    (``window == total``) may have overlap 0.
+    """
+
     total: int           # full sequence length (frames)
     window: int          # window length
     overlap: int         # shared frames between consecutive windows
-    spans: tuple         # ((start, end), ...) covering [0, total)
+    spans: tuple = field(init=False)
+
+    def __post_init__(self):
+        if not 0 <= self.overlap < self.window:
+            raise ValueError("overlap must satisfy 0 <= overlap < window")
+        if self.window > self.total:
+            raise ValueError("window must not exceed the total length")
+        if self.window < self.total and self.overlap < 2:
+            raise ValueError("overlap must be >= 2 when the window is shorter than the total length")
+        spans = [(0, self.window)]
+        while spans[-1][1] < self.total:
+            s = spans[-1][0] + self.window - self.overlap
+            spans.append((s, min(s + self.window, self.total)))
+        object.__setattr__(self, "spans", tuple(spans))
 
 
-def plan_windows(total: int, window: int, overlap: int) -> WindowPlan:
-    """Slide a window of ``window`` frames, advancing by window - overlap.
-
-    The final span is clamped to end exactly at ``total``, so it may be
-    shorter than ``window``; it still shares exactly ``overlap`` frames with
-    its predecessor and is longer than ``overlap``. A plan of more than one
-    span needs ``overlap >= 2``, the shortest 0..1 blend ramp.
-    """
-    if not 0 < overlap < window:
-        raise ValueError("overlap must satisfy 0 < overlap < window")
-    if window > total:
-        raise ValueError("window must not exceed the total length")
-    if window < total and overlap < 2:
-        raise ValueError("overlap must be >= 2 when the window is shorter than the total length")
-    spans = []
-    s, e = 0, min(window, total)
-    spans.append((s, e))
-    while e < total:
-        s = s + (window - overlap)
-        e = min(s + window, total)
-        spans.append((s, e))
-    return WindowPlan(total, window, overlap, tuple(spans))
+# The plan's constructor under the name that perfbench, harness and cli call.
+plan_windows = WindowPlan
 
 
 def blend_weights(overlap: int) -> np.ndarray:
@@ -112,7 +115,7 @@ def run_long(model, z_T_full: np.ndarray, cond_full, plan: WindowPlan,
             zi = z[s:e]
             out = evaluator.step(model, zi, t, cond_full[s:e] if per_frame_cond else cond_full, j)
             stepped = euler_step(zi, out.final, dt)
-            cur_tail = stepped[-v:].copy()  # pre-blend tail for the next window
+            cur_tail = stepped[len(stepped) - v:].copy()  # pre-blend tail; empty at v = 0, where -v is 0
             if wi > 0 and j > 0:
                 stepped[:v] = blend_overlap(prev_tail, stepped[:v], weights)
             new_z[s:e] = stepped
@@ -120,3 +123,26 @@ def run_long(model, z_T_full: np.ndarray, cond_full, plan: WindowPlan,
         z = new_z
         trajectory.append(z)
     return trajectory, [ev.evals for ev in evaluators]
+
+
+def sample_full(model, z_T: np.ndarray, cond: np.ndarray, cfg: SamplerConfig):
+    """Non-accelerated sampler: evaluate the model at every step (the oracle).
+
+    This is ``run_long`` over a single window spanning every frame. Returns
+    (trajectory, evals): steps+1 latents ending at the sample, and the
+    number of full model evaluations (== steps).
+    """
+    frames = np.shape(z_T)[0]
+    trajectory, evals = run_long(model, z_T, cond, WindowPlan(frames, frames, 0), cfg)
+    return trajectory, evals[0]
+
+
+def sample_accelerated(model, z_T: np.ndarray, cond, sampler_cfg, predictor_cfg: PredictorConfig):
+    """Euler sampling with full evaluations only at anchor steps.
+
+    This is ``run_long`` over a single window spanning every frame.
+    Returns (trajectory, evals); evals == ceil(steps / anchor_spacing).
+    """
+    frames = np.shape(z_T)[0]
+    trajectory, evals = run_long(model, z_T, cond, WindowPlan(frames, frames, 0), sampler_cfg, predictor_cfg)
+    return trajectory, evals[0]

@@ -12,12 +12,13 @@ import pytest
 from latentskip.cli import main
 from latentskip.core import SeededRng, relative_l2, stats
 from latentskip.flow_model import (LayerOutputs, MaskPair, SamplerConfig, build_model,
-                                   masked_recon_loss, sample_full, velocity_loss)
+                                   masked_recon_loss, velocity_loss)
 from latentskip.harness import load_trajectory
 from latentskip.norm_fusion import normalize_fuse
 from latentskip.predictor import (AnchorCache, PredictorConfig, SigmaHistory, difference_rows,
-                                  finite_differences, predict, sample_accelerated)
-from latentskip.windows import blend_overlap, blend_weights, plan_windows, run_long
+                                  finite_differences, predict)
+from latentskip.windows import (blend_overlap, blend_weights, plan_windows, run_long, sample_accelerated,
+                                sample_full)
 
 _T0 = time.perf_counter()
 

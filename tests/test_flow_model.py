@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from latentskip import flow_model
 from latentskip.core import SeededRng
 from latentskip.flow_model import (FUSION_MODES, LayerOutputs, MaskPair, SamplerConfig, build_model,
-                                   euler_step, forward_diffuse, masked_recon_loss,
-                                   sample_full, velocity_loss)
+                                   euler_step, forward_diffuse, masked_recon_loss, velocity_loss)
+from latentskip.windows import sample_full
 from test_norm_fusion import reference_fuse
 
 

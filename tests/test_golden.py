@@ -26,9 +26,9 @@ import numpy as np
 import pytest
 
 from latentskip.core import SeededRng
-from latentskip.flow_model import FUSION_MODES, SamplerConfig, build_model, sample_full
-from latentskip.predictor import PredictorConfig, sample_accelerated
-from latentskip.windows import plan_windows, run_long
+from latentskip.flow_model import FUSION_MODES, SamplerConfig, build_model
+from latentskip.predictor import PredictorConfig
+from latentskip.windows import plan_windows, run_long, sample_accelerated, sample_full
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 STEPS = 20

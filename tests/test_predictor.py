@@ -8,10 +8,11 @@ from hypothesis.extra.numpy import arrays
 
 import latentskip.predictor as pred_mod
 from latentskip.core import EPS, SeededRng
-from latentskip.flow_model import LayerOutputs, SamplerConfig, build_model, sample_full
+from latentskip.flow_model import LayerOutputs, SamplerConfig, build_model
 from latentskip.predictor import (AnchorCache, DiffTable, PredictorConfig, PredictorState,
                                   SigmaHistory, difference_rows, finite_differences, is_anchor_step,
-                                  layer_weight, predict, sample_accelerated, scale_s)
+                                  layer_weight, predict, scale_s)
+from latentskip.windows import sample_accelerated, sample_full
 
 
 def reference_layer_weight(table, layer, order):

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from latentskip import predictor
 from latentskip.core import SeededRng
-from latentskip.flow_model import SamplerConfig, build_model, euler_step, sample_full
-from latentskip.predictor import PredictorConfig, sample_accelerated
-from latentskip.windows import blend_overlap, blend_weights, plan_windows, run_long
+from latentskip.flow_model import SamplerConfig, build_model, euler_step
+from latentskip.predictor import PredictorConfig
+from latentskip.windows import (blend_overlap, blend_weights, plan_windows, run_long, sample_accelerated,
+                                sample_full)
 
 
 def reference_euler(model, z_T, cond, cfg):
