@@ -153,7 +153,9 @@ def velocity_loss(pred: np.ndarray, x0: np.ndarray, x1: np.ndarray) -> float:
     if pred.shape != x0.shape or x0.shape != x1.shape:
         raise ValueError("shape mismatch")
     require_finite(pred=pred, x0=x0, x1=x1)
-    return mean((pred - (x1 - x0)) ** 2)
+    with np.errstate(over="ignore"):  # an overflow is the ValueError below, not a warning
+        loss = mean((pred - (x1 - x0)) ** 2)
+    return _finite_loss("velocity_loss", loss)
 
 
 def masked_recon_loss(z_gt: np.ndarray, z_eps: np.ndarray, masks: MaskPair) -> float:
@@ -161,7 +163,16 @@ def masked_recon_loss(z_gt: np.ndarray, z_eps: np.ndarray, masks: MaskPair) -> f
     if z_gt.shape != z_eps.shape or masks.face.shape != z_gt.shape or masks.lip.shape != z_gt.shape:
         raise ValueError("shape mismatch")
     require_finite(z_gt=z_gt, z_eps=z_eps)  # MaskPair has checked the masks
-    return mean(((z_gt - z_eps) * (1.0 + masks.face + masks.lip)) ** 2)
+    with np.errstate(over="ignore"):  # an overflow is the ValueError below, not a warning
+        loss = mean(((z_gt - z_eps) * (1.0 + masks.face + masks.lip)) ** 2)
+    return _finite_loss("masked_recon_loss", loss)
+
+
+def _finite_loss(name: str, loss: float) -> float:
+    """The loss, or a ValueError naming it when float64 overflowed on finite inputs."""
+    if not math.isfinite(loss):
+        raise ValueError(f"{name} overflows float64 on these inputs")
+    return loss
 
 
 def euler_step(z: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:

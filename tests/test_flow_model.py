@@ -170,6 +170,20 @@ def test_masked_recon_loss_rejects_non_finite(bad, target):
         masked_recon_loss(args["z_gt"], args["z_eps"], MaskPair(np.zeros(3), np.zeros(3)))
 
 
+BIG = np.array([1e200])
+
+
+@pytest.mark.parametrize("name,loss", [
+    ("velocity_loss", lambda: velocity_loss(BIG, np.zeros(1), np.zeros(1))),
+    ("velocity_loss", lambda: velocity_loss(np.zeros(1), -BIG * 1e108, BIG * 1e108)),
+    ("masked_recon_loss", lambda: masked_recon_loss(BIG, np.zeros(1), MaskPair(np.zeros(1), np.zeros(1)))),
+], ids=["velocity_loss", "velocity_loss-target-overflows", "masked_recon_loss"])
+def test_loss_overflow_rejected(name, loss):
+    # Finite inputs whose squared error exceeds float64: a ValueError, not inf and a RuntimeWarning.
+    with pytest.raises(ValueError, match=f"{name} overflows"):
+        loss()
+
+
 class TestLosses:
     def test_velocity_loss_zero_at_truth(self):
         x0, x1 = SeededRng(1).normal(8), SeededRng(2).normal(8)
