@@ -175,7 +175,7 @@ def run_experiment(cfg: ExperimentConfig, keep_trajectory: bool = False) -> Metr
         steps=cfg.steps, frames=cfg.frames, window=cfg.window, overlap=cfg.overlap,
         full_eval_count=full_evals,
         predicted_step_count=cfg.steps - full_evals,
-        wall_clock_ms=wall_ms,
+        wall_clock_ms=wall_ms / cfg.repetitions,
         rel_err_final=mean(finals),
         rel_err_mean=mean(means),
         per_step_errors=per_step.tolist(),

@@ -6,12 +6,14 @@ import os
 import sys
 import tempfile
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from latentskip import harness
 from latentskip.cli import _add_run_flags, _load_config, main
 from latentskip.harness import (CSV_HEADER, ExperimentConfig, TrajectoryFormatError,
                                 TrajectoryVersionError, ablation_sweep, dump_trajectory,
@@ -50,6 +52,12 @@ class TestRunExperiment:
         a, b = run_experiment(fast_cfg()), run_experiment(fast_cfg())
         assert a.rel_err_final == b.rel_err_final
         assert a.per_step_errors == b.per_step_errors
+
+    def test_wall_clock_is_mean_over_repetitions(self, monkeypatch):
+        # Each repetition reads the clock around its accelerated run: 250, 500 and 2250 ms.
+        ticks = iter([0.0, 0.25, 1.0, 1.5, 2.0, 4.25])
+        monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        assert run_experiment(fast_cfg(steps=4, repetitions=3)).wall_clock_ms == 1000.0
 
     def test_invalid_config_names_field(self):
         with pytest.raises(ValueError, match="anchor_spacing"):
@@ -251,6 +259,8 @@ class TestCli:
     def test_plan_output(self, capsys):
         assert main(["plan", "-L", "21", "--window", "9", "--overlap", "5"]) == 0
         assert capsys.readouterr().out.splitlines() == ["(0, 9)", "(4, 13)", "(8, 17)", "(12, 21)"]
+        assert main(["plan", "-L", "8", "--window", "8", "--overlap", "0"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["(0, 8)"]
 
     def test_sample_prints_csv(self, capsys):
         rc = main(["sample", "-T", "10", "-L", "8", "--window", "8", "-K", "5", "--seed", "3"])

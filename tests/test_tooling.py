@@ -10,7 +10,8 @@ import pytest
 import latentskip
 from latentskip.flow_model import build_model
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 # core.mean and core.stats are the package's only moments; a direct NumPy call elsewhere
 # would define a second convention and skip the bitwise property held in test_core.
@@ -55,6 +56,33 @@ def test_every_benchmark_span_has_a_hook_target():
     dead = [name for name, targets in lookups.items()
             if not any(_hook_target(m, p) for m, p in targets)]
     assert not dead, f"spans with no plain function to wrap: {dead}"
+
+
+def test_benchmark_observers_read_live_parameters(monkeypatch, tmp_path):
+    # The observers read parameters by name: predict's cache/hist/cfg, PredictorState.step's
+    # model/z/t/cond, run_long's predictor_cfg and dump_trajectory's path. Renaming one makes
+    # a per-layer metric absent, which only the slow perfbench smoke test would notice.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    tracer = importlib.import_module("tracer").Tracer()
+    # K=5, n=3 over 50 steps: the anchor cache fills, so warmed predicted steps occur.
+    sampler = workloads.SamplerWorkload(0, layers=3, width=8, frames=12, window=8, overlap=4,
+                                        anchor_spacing=5, order=3)
+    roundtrip = workloads.make("trajectory_roundtrip", 0, str(tmp_path / "trajectory.json"))
+    tracer.install()
+    try:
+        for index, workload in enumerate((sampler, roundtrip)):
+            tracer.begin(index)
+            try:
+                outcome = workload.request(workload.prepare(index), tracer)
+            finally:
+                tracer.end()
+            assert outcome.ok, outcome.failures
+    finally:
+        tracer.uninstall()
+    assert not tracer.broken, f"observers that raised: {sorted(tracer.broken)}"
+    absent = [name for name, value in tracer.layer_metrics().items() if value is None]
+    assert not absent, f"per-layer metrics absent: {absent}"
 
 
 @pytest.mark.parametrize("shape", [{}, {"layer_count": 2, "width": 2, "latent_dim": 3, "cond_dim": 0},

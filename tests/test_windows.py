@@ -8,8 +8,8 @@ from latentskip import predictor
 from latentskip.core import SeededRng
 from latentskip.flow_model import SamplerConfig, build_model, euler_step
 from latentskip.predictor import PredictorConfig
-from latentskip.windows import (blend_overlap, blend_weights, plan_windows, run_long, sample_accelerated,
-                                sample_full)
+from latentskip.windows import (WindowPlan, blend_overlap, blend_weights, plan_windows, run_long,
+                                sample_accelerated, sample_full)
 
 
 def reference_euler(model, z_T, cond, cfg):
@@ -42,6 +42,7 @@ class TestPlan:
 
     def test_single_window(self):
         assert plan_windows(9, 9, 5).spans == ((0, 9),)
+        assert plan_windows(8, 8, 0).spans == ((0, 8),)
 
     def test_end_clamp(self):
         assert plan_windows(10, 9, 5).spans == ((0, 9), (4, 10))
@@ -53,6 +54,8 @@ class TestPlan:
             plan_windows(21, 9, 0)
         with pytest.raises(ValueError):
             plan_windows(8, 9, 5)
+        with pytest.raises(TypeError):  # spans are derived, never given
+            WindowPlan(16, 8, 3, ((0, 8),))
 
     @pytest.mark.parametrize("total,window,overlap", [(21, 9, 5), (40, 12, 5), (10, 9, 5), (100, 7, 2)])
     def test_coverage(self, total, window, overlap):
@@ -186,17 +189,18 @@ SMALL_MODEL = build_model(0, layer_count=3, width=8, latent_dim=6, cond_dim=4)
        seed=st.integers(0, 2**32 - 1))
 def test_single_window_loop_matches_reference(steps, spacing, order, seed):
     rng = SeededRng(seed)
-    z, cond = rng.normal((5, 6)), rng.normal(4)
+    five, cond = rng.normal((5, 6)), rng.normal(4)
     cfg = SamplerConfig(steps=steps)
-    reference = reference_euler(SMALL_MODEL, z, cond, cfg)
-    oracle, oracle_evals = sample_full(SMALL_MODEL, z, cond, cfg)
-    assert oracle_evals == steps
-    assert all(np.array_equal(a, b) for a, b in zip(oracle, reference, strict=True))
-    exact, _ = sample_accelerated(SMALL_MODEL, z, cond, cfg, PredictorConfig(1, order))
-    assert all(np.array_equal(a, b) for a, b in zip(exact, reference, strict=True))
-    accel, evals = sample_accelerated(SMALL_MODEL, z, cond, cfg, PredictorConfig(spacing, order))
-    assert evals == math.ceil(steps / spacing)
-    assert np.all(np.isfinite(accel[-1])) or not np.all(np.isfinite(oracle[-1]))
+    for z in (five, five[:1]):  # a one-frame latent is a one-frame window
+        reference = reference_euler(SMALL_MODEL, z, cond, cfg)
+        oracle, oracle_evals = sample_full(SMALL_MODEL, z, cond, cfg)
+        assert oracle_evals == steps
+        assert all(np.array_equal(a, b) for a, b in zip(oracle, reference, strict=True))
+        exact, _ = sample_accelerated(SMALL_MODEL, z, cond, cfg, PredictorConfig(1, order))
+        assert all(np.array_equal(a, b) for a, b in zip(exact, reference, strict=True))
+        accel, evals = sample_accelerated(SMALL_MODEL, z, cond, cfg, PredictorConfig(spacing, order))
+        assert evals == math.ceil(steps / spacing)
+        assert np.all(np.isfinite(accel[-1])) or not np.all(np.isfinite(oracle[-1]))
 
 
 SAMPLERS = {
