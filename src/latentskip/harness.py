@@ -15,6 +15,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -39,17 +40,23 @@ class TrajectoryVersionError(ValueError):
 
 # ExperimentConfig annotation (a string under postponed evaluation) -> (value check, description).
 _FIELD_KINDS = {
-    "int": (lambda v: type(v) is int, "an integer"),
-    "float": (lambda v: type(v) in (int, float), "a number"),
+    "int": (lambda v: isinstance(v, Integral) and type(v) is not bool, "an integer"),
+    "float": (lambda v: isinstance(v, Real) and type(v) is not bool, "a number"),
     "bool": (lambda v: type(v) is bool, "true or false"),
     "str": (lambda v: type(v) is str, "a string"),
     "str | None": (lambda v: v is None or type(v) is str, "a string or null"),
-    "tuple": (lambda v: type(v) in (list, tuple) and all(type(x) is int for x in v), "a list of integers"),
+    "tuple": (lambda v: type(v) in (list, tuple) and all(map(_FIELD_KINDS["int"][0], v)),
+              "a list of integers"),
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """An experiment's parameters, checked when built: a bad value is a ValueError naming its field.
+
+    Steps through alpha are checked by ``sampler``, ``plan`` and ``predictor``, built from them.
+    """
+
     seed: int = 0
     layers: int = 4
     width: int = 32
@@ -66,13 +73,18 @@ class ExperimentConfig:
     fusion: str = "ours"
     repetitions: int = 1
     out_path: str | None = None
+    sampler: SamplerConfig = field(init=False, repr=False, compare=False)
+    plan: WindowPlan = field(init=False, repr=False, compare=False)
+    predictor: PredictorConfig = field(init=False, repr=False, compare=False)
 
-    def validate(self) -> tuple[SamplerConfig, WindowPlan, PredictorConfig]:
-        """Check the run's parameters; return the sampler, window and predictor configs.
-
-        Steps, frames, window, overlap, K, n and alpha are checked by the
-        objects built from them, whose messages name the offending field.
-        """
+    def __post_init__(self):
+        for f in fields(self):
+            if f.init:
+                fits, expected = _FIELD_KINDS[f.type]
+                value = getattr(self, f.name)
+                if not fits(value):
+                    raise ValueError(f"{f.name}: expected {expected}, got {value!r}")
+        object.__setattr__(self, "frame_shape", tuple(self.frame_shape))
         checks = [
             ("seed", self.seed >= 0, "must be >= 0"),
             ("frame_shape", min(self.frame_shape, default=0) >= 1,
@@ -86,23 +98,17 @@ class ExperimentConfig:
         for name, ok, msg in checks:
             if not ok:
                 raise ValueError(f"{name}: {msg}")
-        return (SamplerConfig(steps=self.steps),
-                plan_windows(self.frames, self.window, self.overlap),
-                PredictorConfig(self.anchor_spacing, self.order, self.alpha, self.dynamics_enabled))
+        object.__setattr__(self, "sampler", SamplerConfig(steps=self.steps))
+        object.__setattr__(self, "plan", plan_windows(self.frames, self.window, self.overlap))
+        object.__setattr__(self, "predictor", PredictorConfig(
+            self.anchor_spacing, self.order, self.alpha, self.dynamics_enabled))
 
     @classmethod
     def from_dict(cls, values: dict) -> "ExperimentConfig":
-        """Build from a flat mapping; an unknown key or a value of the wrong type is a ValueError."""
-        kinds = {f.name: f.type for f in fields(cls)}
-        unknown = set(values) - set(kinds)
+        """Build from a flat mapping; an unknown key is a ValueError, as is any bad value."""
+        unknown = set(values) - {f.name for f in fields(cls) if f.init}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in values.items():
-            fits, expected = _FIELD_KINDS[kinds[key]]
-            if not fits(value):
-                raise ValueError(f"{key}: expected {expected}, got {value!r}")
-        if "frame_shape" in values:
-            values = dict(values, frame_shape=tuple(values["frame_shape"]))
         return cls(**values)
 
     @property
@@ -137,8 +143,6 @@ class MetricsReport:
 
 def run_experiment(cfg: ExperimentConfig, keep_trajectory: bool = False) -> MetricsReport:
     """Oracle + accelerated runs on the same seeded inputs, averaged over reps."""
-    scfg, plan, pcfg = cfg.validate()
-
     finals, means = [], []
     per_step = np.zeros(cfg.steps)
     wall_ms = 0.0
@@ -153,9 +157,9 @@ def run_experiment(cfg: ExperimentConfig, keep_trajectory: bool = False) -> Metr
         z_T = inputs.normal((cfg.frames,) + tuple(cfg.frame_shape))
         cond = inputs.normal((cfg.frames, cfg.cond_dim))
 
-        oracle_traj, _ = run_long(model, z_T, cond, plan, scfg, None)
+        oracle_traj, _ = run_long(model, z_T, cond, cfg.plan, cfg.sampler, None)
         start = time.perf_counter()
-        accel_traj, evals_per_window = run_long(model, z_T, cond, plan, scfg, pcfg)
+        accel_traj, evals_per_window = run_long(model, z_T, cond, cfg.plan, cfg.sampler, cfg.predictor)
         wall_ms += (time.perf_counter() - start) * 1e3
 
         errs = [relative_l2(a, o) for a, o in zip(accel_traj[1:], oracle_traj[1:])]
@@ -190,6 +194,7 @@ def ablation_sweep(base: ExperimentConfig, grid: dict, jobs: int = 1) -> list[Me
     """One report per grid cell, run one after another, sorted by (mode, K, n).
 
     ``grid`` maps a subset of {K, n, dynamics, fusion} to value lists.
+    Every cell is built, and so checked, before any cell runs.
     ``jobs`` accepts only 1 and remains for callers that pass it.
     """
     if jobs != 1:
@@ -200,16 +205,15 @@ def ablation_sweep(base: ExperimentConfig, grid: dict, jobs: int = 1) -> list[Me
     if unknown:
         raise ValueError(f"unknown grid keys: {sorted(unknown)}")
     keys = sorted(grid)
-    reports = []
+    cells = []
     for combo in itertools.product(*(grid[k] for k in keys)):
         cell = dict(zip(keys, combo))
-        cfg = replace(base, **{GRID_KEYS[k]: v for k, v in cell.items()})
         try:
-            reports.append(run_experiment(cfg))
-        except Exception as exc:
-            raise RuntimeError(f"grid cell {cell} failed: {exc}") from exc
-    reports.sort(key=lambda r: (r.mode, r.anchor_spacing, r.order))
-    return reports
+            cells.append(replace(base, **{GRID_KEYS[k]: v for k, v in cell.items()}))
+        except ValueError as exc:
+            raise ValueError(f"grid cell {cell} failed: {exc}") from exc
+    return sorted((run_experiment(cfg) for cfg in cells),
+                  key=lambda r: (r.mode, r.anchor_spacing, r.order))
 
 
 def reports_to_csv(reports: list[MetricsReport]) -> str:

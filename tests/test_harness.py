@@ -98,7 +98,7 @@ class TestAblation:
             [r.csv_row()[:wall] + r.csv_row()[wall + 1:] for r in default]
 
     def test_cell_failure_carries_cell_id(self):
-        with pytest.raises(RuntimeError, match="grid cell"):
+        with pytest.raises(ValueError, match="grid cell"):
             ablation_sweep(fast_cfg(), {"K": [0]})
 
     def test_csv_schema(self):
