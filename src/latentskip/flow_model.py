@@ -176,10 +176,14 @@ def _finite_loss(name: str, loss: float) -> float:
 
 
 def euler_step(z: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
-    """Advance the latent from t to t-dt with constant velocity v."""
+    """Advance the latent from t to t-dt with constant velocity v; a float64 overflow is a ValueError."""
     if z.shape != v.shape:
         raise ValueError("shape mismatch")
     if not 0 < dt < math.inf:  # NaN compares False, so it is rejected too
         raise ValueError(f"dt must be finite and positive, got {dt}")
-    return z - dt * v
+    try:
+        with np.errstate(over="raise"):
+            return z - dt * v
+    except FloatingPointError:
+        raise ValueError("euler_step overflows float64 on these inputs") from None
 

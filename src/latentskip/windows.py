@@ -54,6 +54,14 @@ class WindowPlan:
 plan_windows = WindowPlan
 
 
+def latent_frames(z_T) -> int:
+    """The frame count of a latent sequence: the length of its first axis, which must be >= 1."""
+    shape = np.shape(z_T)
+    if not shape or shape[0] == 0:
+        raise ValueError(f"z_T must have at least one frame, got shape {shape}")
+    return shape[0]
+
+
 def blend_weights(overlap: int) -> np.ndarray:
     """Linear ramp 0..1 inclusive; frame 0 keeps the previous window."""
     if overlap < 2:
@@ -93,10 +101,11 @@ def run_long(model, z_T_full: np.ndarray, cond_full, plan: WindowPlan,
     tail from the same step. The first window and the first step skip
     blending. A ``cond_full`` with one row per frame is sliced per window;
     any other value (a shared vector, or None) reaches the model untouched.
-    Returns (trajectory, evals_per_window); NaN or inf in either input is a ValueError.
+    Returns (trajectory, evals_per_window). NaN or inf in either input, or a latent
+    with no frames, is a ValueError.
     """
     z = np.array(z_T_full, dtype=np.float64)
-    if z.shape[0] != plan.total:
+    if latent_frames(z) != plan.total:
         raise ValueError(f"latent has {z.shape[0]} frames, plan expects {plan.total}")
     require_finite(z_T=z, cond=cond_full)
     per_frame_cond = np.ndim(cond_full) == 2 and np.shape(cond_full)[0] == plan.total
@@ -132,7 +141,7 @@ def sample_full(model, z_T: np.ndarray, cond: np.ndarray, cfg: SamplerConfig):
     (trajectory, evals): steps+1 latents ending at the sample, and the
     number of full model evaluations (== steps).
     """
-    frames = np.shape(z_T)[0]
+    frames = latent_frames(z_T)
     trajectory, evals = run_long(model, z_T, cond, WindowPlan(frames, frames, 0), cfg)
     return trajectory, evals[0]
 
@@ -143,6 +152,6 @@ def sample_accelerated(model, z_T: np.ndarray, cond, sampler_cfg, predictor_cfg:
     This is ``run_long`` over a single window spanning every frame.
     Returns (trajectory, evals); evals == ceil(steps / anchor_spacing).
     """
-    frames = np.shape(z_T)[0]
+    frames = latent_frames(z_T)
     trajectory, evals = run_long(model, z_T, cond, WindowPlan(frames, frames, 0), sampler_cfg, predictor_cfg)
     return trajectory, evals[0]

@@ -262,6 +262,13 @@ class TestEulerAndSampler:
         with pytest.raises(ValueError, match="dt must be finite and positive"):
             euler_step(np.zeros(4), np.ones(4), dt)
 
+    @pytest.mark.parametrize("z, v, dt", [(1e308, -1e308, 1.0), (0.0, 1e308, 10.0)],
+                             ids=["difference-overflows", "product-overflows"])
+    def test_overflow_rejected(self, z, v, dt):
+        # Finite inputs whose step exceeds float64: a ValueError, not inf and a RuntimeWarning.
+        with pytest.raises(ValueError, match="euler_step overflows float64"):
+            euler_step(np.array([z]), np.array([v]), dt)
+
     def test_step_composition_on_constant_field(self):
         z, v = SeededRng(1).normal(4), SeededRng(2).normal(4)
         two = euler_step(euler_step(z, v, 0.1), v, 0.1)

@@ -3,9 +3,10 @@ import base64
 import json
 import math
 import os
+import re
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -69,6 +70,18 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_dict({"bogus": 1})
 
+    def test_numpy_integers_accepted(self):
+        cfg = fast_cfg(steps=np.int64(4), anchor_spacing=np.int32(2), frame_shape=[np.int64(4), 4])
+        assert cfg == fast_cfg(steps=4, anchor_spacing=2) and cfg.frame_shape == (4, 4)
+        assert run_experiment(cfg).full_eval_count == 2
+
+    def test_config_is_frozen_and_checked_on_replace(self):
+        cfg = fast_cfg()
+        with pytest.raises(FrozenInstanceError):
+            cfg.steps = 0
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            replace(cfg, steps=0)
+
 
 class TestAblation:
     def test_grid_cardinality(self):
@@ -100,6 +113,13 @@ class TestAblation:
     def test_cell_failure_carries_cell_id(self):
         with pytest.raises(ValueError, match="grid cell"):
             ablation_sweep(fast_cfg(), {"K": [0]})
+
+    def test_invalid_cell_rejected_before_any_run(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(harness, "run_experiment", lambda cfg: runs.append(cfg))
+        with pytest.raises(ValueError, match=re.escape("grid cell {'K': 0} failed: anchor_spacing")):
+            ablation_sweep(fast_cfg(), {"K": [2, 5, 0]})
+        assert runs == []
 
     def test_csv_schema(self):
         csv_text = reports_to_csv(ablation_sweep(fast_cfg(), {"n": [1]}))
@@ -314,6 +334,7 @@ class TestCli:
         (["sample"], {"frame_shape": 5}, "frame_shape: expected a list of integers"),
         (["sample"], {"dynamics_enabled": "no"}, "dynamics_enabled: expected true or false"),
         (["sample"], {"alpha": "1.5"}, "alpha: expected a number"),
+        (["sample"], {"seed": 1.5}, "seed: expected an integer"),
         (["ablate", "--grid-K", "0,2"], SMALL_RUN, "grid cell {'K': 0} failed: anchor_spacing"),
         (["ablate", "--grid-fusion", "ours,bogus"], SMALL_RUN, "grid cell {'fusion': 'bogus'} failed: fusion"),
         (["ablate", "--grid-dynamics", "yes,on"], SMALL_RUN, "--grid-dynamics: expected on or off, got 'yes'"),
@@ -335,6 +356,10 @@ class TestCli:
         assert main(argv + ["--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        if argv == ["sample"] and isinstance(config, dict):  # the same check from Python
+            with pytest.raises(ValueError) as exc:
+                ExperimentConfig(**config)
+            assert err == f"error: {exc.value}\n"
 
     def test_multi_span_overlap_one_rejected_alike(self, capsys):
         # plan and sample validate the overlap in the same place, so they fail alike

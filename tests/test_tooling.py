@@ -58,6 +58,20 @@ def test_every_benchmark_span_has_a_hook_target():
     assert not dead, f"spans with no plain function to wrap: {dead}"
 
 
+# Per-layer counts of the sampler request below: 3 layers, 12 frames in windows of 8 with overlap 4
+# (2 windows), K=5, n=3, T=50.
+SAMPLER_COUNTS = {
+    "flow_model.eval.calls": 120,         # 2 x 50 + 2 x 10
+    "norm_fusion.fuse.calls": 360,        # 120 evals x 3 layers
+    "predictor.anchor.calls": 20,         # 2 windows x 10 anchors
+    "predictor.predicted.calls": 80,      # 2 windows x 40 predicted steps
+    # 2 windows x 28 warmed predicted steps (anchors 4-10 each lead 4) x 3 layers x 3 orders
+    "predictor.layer_weight.calls": 504,
+    "windows.blend_overlap.calls": 98,    # steps 1-49 x 2 paths (oracle, accelerated)
+    "harness.oracle_runs": 1,
+}
+
+
 def test_benchmark_observers_read_live_parameters(monkeypatch, tmp_path):
     # The observers read parameters by name: predict's cache/hist/cfg, PredictorState.step's
     # model/z/t/cond, run_long's predictor_cfg and dump_trajectory's path. Renaming one makes
@@ -78,11 +92,16 @@ def test_benchmark_observers_read_live_parameters(monkeypatch, tmp_path):
             finally:
                 tracer.end()
             assert outcome.ok, outcome.failures
+            if index == 0:
+                sampler_metrics = tracer.layer_metrics()  # medians over the sampler request alone
     finally:
         tracer.uninstall()
     assert not tracer.broken, f"observers that raised: {sorted(tracer.broken)}"
     absent = [name for name, value in tracer.layer_metrics().items() if value is None]
     assert not absent, f"per-layer metrics absent: {absent}"
+    # perfbench/test_smoke.py pins these count laws, but tier-1 does not run it. Spans (0, 8) and
+    # (4, 12), T=50: the oracle evaluates 2 x 50 times and the accelerated path 2 x ceil(50/5).
+    assert {name: sampler_metrics[name] for name in SAMPLER_COUNTS} == SAMPLER_COUNTS
 
 
 @pytest.mark.parametrize("shape", [{}, {"layer_count": 2, "width": 2, "latent_dim": 3, "cond_dim": 0},

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -221,3 +222,11 @@ def test_non_finite_input_rejected(sampler, bad, target):
     inputs[target][5, 1] = bad
     with pytest.raises(ValueError, match=target):
         SAMPLERS[sampler](inputs["z_T"], inputs["cond"], SamplerConfig(steps=5))
+
+
+@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+@pytest.mark.parametrize("shape", [(0, 6), ()])
+def test_latent_without_frames_rejected(sampler, shape):
+    # Rejected before any window plan is built, so the message names the latent, not the plan.
+    with pytest.raises(ValueError, match=re.escape(f"z_T must have at least one frame, got shape {shape}")):
+        SAMPLERS[sampler](np.zeros(shape), np.zeros(4), SamplerConfig(steps=5))
