@@ -334,7 +334,6 @@ class TestCli:
         (["sample"], {"frame_shape": 5}, "frame_shape: expected a list of integers"),
         (["sample"], {"dynamics_enabled": "no"}, "dynamics_enabled: expected true or false"),
         (["sample"], {"alpha": "1.5"}, "alpha: expected a number"),
-        (["sample"], {"seed": 1.5}, "seed: expected an integer"),
         (["ablate", "--grid-K", "0,2"], SMALL_RUN, "grid cell {'K': 0} failed: anchor_spacing"),
         (["ablate", "--grid-fusion", "ours,bogus"], SMALL_RUN, "grid cell {'fusion': 'bogus'} failed: fusion"),
         (["ablate", "--grid-dynamics", "yes,on"], SMALL_RUN, "--grid-dynamics: expected on or off, got 'yes'"),
@@ -349,6 +348,7 @@ class TestCli:
         (["sample"], None, "cfg.json must hold a JSON object"),
         (["sample"], "x", "cfg.json must hold a JSON object"),
         (["sample"], 3, "cfg.json must hold a JSON object"),
+        (["sample"], {"seed": 1.5}, "seed: expected an integer"),
     ])
     def test_malformed_input_exits_2(self, tmp_path, capsys, argv, config, message):
         cfg_path = tmp_path / "cfg.json"

@@ -99,8 +99,7 @@ def test_benchmark_observers_read_live_parameters(monkeypatch, tmp_path):
     assert not tracer.broken, f"observers that raised: {sorted(tracer.broken)}"
     absent = [name for name, value in tracer.layer_metrics().items() if value is None]
     assert not absent, f"per-layer metrics absent: {absent}"
-    # perfbench/test_smoke.py pins these count laws, but tier-1 does not run it. Spans (0, 8) and
-    # (4, 12), T=50: the oracle evaluates 2 x 50 times and the accelerated path 2 x ceil(50/5).
+    # perfbench/test_smoke.py pins these count laws, but tier-1 does not run it.
     assert {name: sampler_metrics[name] for name in SAMPLER_COUNTS} == SAMPLER_COUNTS
 
 
