@@ -72,8 +72,9 @@ class ToyModel:
 
     Layer m computes h_m = tanh(A_m h_{m-1} + b_m + t*c_m + cond_m) where
     cond_m fuses an image-conditioning stream and a portrait-conditioning
-    stream according to ``fusion_mode``. Applied per frame; the last layer
-    returns to the frame feature width so the final output is a velocity.
+    stream according to ``fusion_mode``. Applied per frame to a latent of
+    shape (frames, *frame) with prod(frame) == latent_dim; the last layer
+    returns to the frame width so the final output is a velocity.
     """
 
     layer_count: int
@@ -85,8 +86,11 @@ class ToyModel:
 
     def eval(self, z: np.ndarray, t: float, cond: np.ndarray) -> LayerOutputs:
         z = np.asarray(z, dtype=np.float64)
-        frames, h = self._as_frames(z)
-        cond2d = self._cond_frames(cond, frames)
+        if z.ndim == 0 or math.prod(z.shape[1:]) != self.latent_dim:
+            raise ValueError(f"latent of shape {z.shape} incompatible with frame width {self.latent_dim}: "
+                             "frames run along the first axis")
+        h = z.reshape(len(z), self.latent_dim)
+        cond2d = self._cond_frames(cond, len(z))
         outs = []
         for w in self.weights:
             # tanh(h A^T + b + t c + fused), summed left to right in one fresh array
@@ -97,13 +101,6 @@ class ToyModel:
             h = np.tanh(x, out=x)
             outs.append(h)
         return LayerOutputs(outs, z.shape)
-
-    def _as_frames(self, z: np.ndarray):
-        if z.ndim > 1 and math.prod(z.shape[1:]) == self.latent_dim:
-            return z.shape[0], z.reshape(z.shape[0], self.latent_dim)
-        if z.size == self.latent_dim:
-            return 1, z.reshape(1, self.latent_dim)
-        raise ValueError(f"latent of shape {z.shape} incompatible with frame width {self.latent_dim}")
 
     def _cond_frames(self, cond: np.ndarray, frames: int) -> np.ndarray:
         cond = np.asarray(cond, dtype=np.float64)

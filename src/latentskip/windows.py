@@ -99,16 +99,19 @@ def run_long(model, z_T_full: np.ndarray, cond_full, plan: WindowPlan,
     windows are advanced left to right from the previous step's state; each
     window's head overlap is blended against the previous window's pre-blend
     tail from the same step. The first window and the first step skip
-    blending. A ``cond_full`` with one row per frame is sliced per window;
-    any other value (a shared vector, or None) reaches the model untouched.
-    Returns (trajectory, evals_per_window). NaN or inf in either input, or a latent
-    with no frames, is a ValueError.
+    blending. Frames run along the first axis of ``z_T_full`` and of a 2-D
+    ``cond_full``, which is sliced once per window; a 1-D (shared) cond, or
+    None, reaches the model untouched. Returns (trajectory, evals_per_window).
+    NaN or inf in either input, a latent with no frames, or a 2-D cond without
+    one row per frame is a ValueError, raised before any evaluation.
     """
     z = np.array(z_T_full, dtype=np.float64)
     if latent_frames(z) != plan.total:
         raise ValueError(f"latent has {z.shape[0]} frames, plan expects {plan.total}")
     require_finite(z_T=z, cond=cond_full)
-    per_frame_cond = np.ndim(cond_full) == 2 and np.shape(cond_full)[0] == plan.total
+    if np.ndim(cond_full) == 2 and len(cond_full) != plan.total:
+        raise ValueError(f"cond has {len(cond_full)} rows, plan expects one per frame ({plan.total})")
+    conds = [cond_full[s:e] if np.ndim(cond_full) == 2 else cond_full for s, e in plan.spans]
     evaluators = [OracleState() if predictor_cfg is None else PredictorState(predictor_cfg)
                   for _ in plan.spans]
 
@@ -120,9 +123,9 @@ def run_long(model, z_T_full: np.ndarray, cond_full, plan: WindowPlan,
         t, dt = float(ts[j]), float(ts[j] - ts[j + 1])
         new_z = z.copy()
         prev_tail = None
-        for wi, ((s, e), evaluator) in enumerate(zip(plan.spans, evaluators)):
+        for wi, ((s, e), cond, evaluator) in enumerate(zip(plan.spans, conds, evaluators)):
             zi = z[s:e]
-            out = evaluator.step(model, zi, t, cond_full[s:e] if per_frame_cond else cond_full, j)
+            out = evaluator.step(model, zi, t, cond, j)
             stepped = euler_step(zi, out.final, dt)
             cur_tail = stepped[len(stepped) - v:].copy()  # pre-blend tail; empty at v = 0, where -v is 0
             if wi > 0 and j > 0:

@@ -35,7 +35,7 @@ def toy_runs():
     for seed in range(10):
         model = build_model(seed, layer_count=4, width=32, latent_dim=64, cond_dim=8)
         rng = SeededRng(seed + 1)
-        z, cond = rng.normal((8, 8)), rng.normal(8)
+        z, cond = rng.normal((1, 8, 8)), rng.normal(8)
         oracle, _ = sample_full(model, z, cond, cfg)
         runs = {}
         for spacing, order in [(5, 1), (5, 2), (5, 3), (2, 3), (8, 3)]:

@@ -1,4 +1,5 @@
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ class TestToyModel:
 
     def test_per_layer_output_count(self):
         m = small_model()
-        out = m.eval(np.zeros(12), 0.5, np.zeros(4))
+        out = m.eval(np.zeros((1, 12)), 0.5, np.zeros(4))
         assert len(out) == 4
 
     def test_fusion_hook_point(self, monkeypatch):
@@ -44,7 +45,7 @@ class TestToyModel:
             return original(*args)
 
         monkeypatch.setattr(flow_model, "fuse_streams", counting)
-        small_model(layer_count=5, fusion_mode="ours").eval(np.ones(12), 0.5, np.ones(4))
+        small_model(layer_count=5, fusion_mode="ours").eval(np.ones((1, 12)), 0.5, np.ones(4))
         assert calls == ["ours"] * 5
 
     def test_zero_weights_give_zero_outputs(self):
@@ -52,19 +53,19 @@ class TestToyModel:
         for w in m.weights:
             for key in w:
                 w[key][...] = 0.0
-        out = m.eval(SeededRng(1).normal(12), 0.3, SeededRng(2).normal(4))
+        out = m.eval(SeededRng(1).normal((1, 12)), 0.3, SeededRng(2).normal(4))
         for layer in out.per_layer:
             assert np.all(layer == 0.0)
 
     def test_eval_deterministic(self):
         m = small_model(5)
-        z, cond = SeededRng(1).normal(12), SeededRng(2).normal(4)
+        z, cond = SeededRng(1).normal((1, 12)), SeededRng(2).normal(4)
         assert np.array_equal(m.eval(z, 0.7, cond).final, m.eval(z, 0.7, cond).final)
 
     def test_final_matches_input_shape(self):
         m = small_model()
-        z = SeededRng(1).normal((3, 4))
-        assert m.eval(z, 0.2, np.zeros(4)).final.shape == (3, 4)
+        z = SeededRng(1).normal((1, 3, 4))
+        assert m.eval(z, 0.2, np.zeros(4)).final.shape == (1, 3, 4)
 
     def test_framewise_eval(self):
         # a (frames, 12) latent is handled frame by frame
@@ -72,8 +73,25 @@ class TestToyModel:
         z = SeededRng(1).normal((5, 12))
         out = m.eval(z, 0.4, np.zeros(4))
         assert out.final.shape == (5, 12)
-        single = m.eval(z[2], 0.4, np.zeros(4))
+        single = m.eval(z[2:3], 0.4, np.zeros(4))
         assert np.allclose(out.final[2], single.final)
+
+    @pytest.mark.parametrize("shape", [(4, 16), (64,), ()])
+    def test_latent_off_the_frame_layout_rejected(self, shape):
+        # Frames run along the first axis, each of latent_dim elements; a latent of
+        # latent_dim elements in any other layout is not one frame.
+        with pytest.raises(ValueError, match=re.escape(
+                f"latent of shape {shape} incompatible with frame width 64: frames run along the first axis")):
+            build_model(0).eval(np.zeros(shape), 0.5, np.zeros(8))
+
+    def test_one_wide_frames_of_a_flat_latent(self):
+        # On a latent_dim=1 model a (5,) latent is 5 frames, so it takes a per-frame cond.
+        m = small_model(latent_dim=1)
+        z, cond = SeededRng(1).normal(5), SeededRng(2).normal((5, 4))
+        traj, evals = sample_full(m, z, cond, SamplerConfig(steps=3))
+        framed, _ = sample_full(m, z.reshape(5, 1), cond, SamplerConfig(steps=3))
+        assert evals == 3 and traj[-1].shape == (5,)
+        assert all(np.array_equal(a, b.reshape(5)) for a, b in zip(traj, framed, strict=True))
 
     def test_invalid_dims_rejected(self):
         with pytest.raises(ValueError):
@@ -97,14 +115,13 @@ def reference_eval(model, z, t, cond):
 
 @settings(max_examples=80, deadline=None)
 @given(fusion=st.sampled_from(FUSION_MODES), layers=st.integers(2, 5), width=st.integers(2, 40),
-       latent_dim=st.integers(1, 12), frames=st.integers(1, 17), flat=st.booleans(),
+       latent_dim=st.integers(1, 12), frames=st.integers(1, 17),
        cond_dim=st.integers(0, 9), shared=st.booleans(), t=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
-def test_eval_bitwise_equals_reference(fusion, layers, width, latent_dim, frames, flat, cond_dim, shared,
-                                       t, seed):
+def test_eval_bitwise_equals_reference(fusion, layers, width, latent_dim, frames, cond_dim, shared, t, seed):
     model = build_model(seed, layers, width, latent_dim, cond_dim, fusion)
     rng = SeededRng(seed + 1)
-    z = rng.normal(latent_dim if flat else (frames, latent_dim))  # flat: a 1-D single-frame latent
-    cond = rng.normal(cond_dim if shared else (z.size // latent_dim, cond_dim))
+    z = rng.normal((frames, latent_dim))
+    cond = rng.normal(cond_dim if shared else (frames, cond_dim))
     inputs = [z, cond] + [a for w in model.weights for a in w.values()]
     before = [a.copy() for a in inputs]
     got = model.eval(z, t, cond).per_layer
@@ -278,12 +295,12 @@ class TestEulerAndSampler:
     def test_full_sampler_counts_and_length(self):
         m = small_model()
         cfg = SamplerConfig(steps=7)
-        traj, evals = sample_full(m, SeededRng(1).normal(12), np.zeros(4), cfg)
+        traj, evals = sample_full(m, SeededRng(1).normal((1, 12)), np.zeros(4), cfg)
         assert evals == 7 and len(traj) == 8
 
     def test_single_step_single_eval(self):
         m = small_model()
-        traj, evals = sample_full(m, SeededRng(1).normal(12), np.zeros(4), SamplerConfig(steps=1))
+        traj, evals = sample_full(m, SeededRng(1).normal((1, 12)), np.zeros(4), SamplerConfig(steps=1))
         assert evals == 1
 
     def test_constant_field_is_affine_in_step(self):
@@ -298,7 +315,7 @@ class TestEulerAndSampler:
 
     def test_bitwise_reproducible(self):
         m = small_model(4)
-        z, cond = SeededRng(1).normal(12), SeededRng(2).normal(4)
+        z, cond = SeededRng(1).normal((1, 12)), SeededRng(2).normal(4)
         t1, _ = sample_full(m, z, cond, SamplerConfig(steps=20))
         t2, _ = sample_full(m, z, cond, SamplerConfig(steps=20))
         assert all(np.array_equal(a, b) for a, b in zip(t1, t2))

@@ -385,14 +385,14 @@ class TestAnchorSchedule:
     @pytest.mark.parametrize("steps,spacing", [(50, 5), (50, 2), (50, 8), (7, 3), (1, 5)])
     def test_eval_count_law(self, steps, spacing):
         model = build_model(0, layer_count=3, width=8, latent_dim=12, cond_dim=4)
-        z, cond = SeededRng(1).normal(12), SeededRng(2).normal(4)
+        z, cond = SeededRng(1).normal((1, 12)), SeededRng(2).normal(4)
         _, evals = sample_accelerated(model, z, cond, SamplerConfig(steps=steps),
                                       PredictorConfig(anchor_spacing=spacing))
         assert evals == math.ceil(steps / spacing)
 
     def test_spacing_one_matches_oracle_bitwise(self):
         model = build_model(0, layer_count=3, width=8, latent_dim=12, cond_dim=4)
-        z, cond = SeededRng(1).normal(12), SeededRng(2).normal(4)
+        z, cond = SeededRng(1).normal((1, 12)), SeededRng(2).normal(4)
         cfg = SamplerConfig(steps=12)
         oracle, _ = sample_full(model, z, cond, cfg)
         accel, _ = sample_accelerated(model, z, cond, cfg, PredictorConfig(anchor_spacing=1))
@@ -405,7 +405,7 @@ class TestAnchorSchedule:
             w["A"][:] = 0.0
             w["c"][:] = 0.0
         rng = SeededRng(1)
-        z, cond = rng.normal((8, 8)), rng.normal(8)
+        z, cond = rng.normal((1, 8, 8)), rng.normal(8)
         cfg = SamplerConfig(steps=50)
         oracle, _ = sample_full(model, z, cond, cfg)
         accel, _ = sample_accelerated(model, z, cond, cfg, PredictorConfig(anchor_spacing=5, max_order=3))
@@ -418,7 +418,7 @@ class TestAnchorSchedule:
             for seed in range(10):
                 model = build_model(seed)
                 rng = SeededRng(seed + 1)
-                z, cond = rng.normal((8, 8)), rng.normal(8)
+                z, cond = rng.normal((1, 8, 8)), rng.normal(8)
                 cfg = SamplerConfig(steps=50)
                 oracle, _ = sample_full(model, z, cond, cfg)
                 accel, _ = sample_accelerated(model, z, cond, cfg, PredictorConfig(5, order))

@@ -224,6 +224,33 @@ def test_non_finite_input_rejected(sampler, bad, target):
         SAMPLERS[sampler](inputs["z_T"], inputs["cond"], SamplerConfig(steps=5))
 
 
+class CountingModel:
+    """Passes evaluations through to a model and counts them."""
+
+    def __init__(self, model):
+        self.model, self.evals = model, 0
+
+    def eval(self, z, t, cond):
+        self.evals += 1
+        return self.model.eval(z, t, cond)
+
+
+@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+@pytest.mark.parametrize("frames,rows,window,overlap", [(21, 9, 9, 5), (5, 1, 3, 2)])
+def test_cond_without_a_row_per_frame_rejected(sampler, frames, rows, window, overlap):
+    # A 2-D cond holds one row per frame; any other row count is rejected before the first
+    # evaluation, where a (9, 4) cond on 21 frames in windows of 9 used to reach every window whole.
+    model, cfg, pcfg = CountingModel(SMALL_MODEL), SamplerConfig(steps=5), PredictorConfig(2, 2)
+    rng = SeededRng(4)
+    z, cond = rng.normal((frames, 6)), rng.normal((rows, 4))
+    run = {"sample_full": lambda: sample_full(model, z, cond, cfg),
+           "sample_accelerated": lambda: sample_accelerated(model, z, cond, cfg, pcfg),
+           "run_long": lambda: run_long(model, z, cond, plan_windows(frames, window, overlap), cfg, pcfg)}
+    with pytest.raises(ValueError, match=re.escape(f"cond has {rows} rows, plan expects one per frame ({frames})")):
+        run[sampler]()
+    assert model.evals == 0
+
+
 @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
 @pytest.mark.parametrize("shape", [(0, 6), ()])
 def test_latent_without_frames_rejected(sampler, shape):
