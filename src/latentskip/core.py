@@ -8,7 +8,8 @@ shares the same conventions (population std, 1e-8 division guard).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -72,6 +73,31 @@ def require_finite(**arrays) -> None:
     for name, value in arrays.items():
         if value is not None and not np.all(np.isfinite(value)):
             raise ValueError(f"{name} contains NaN or inf")
+
+
+# Config field annotation (a string under postponed evaluation) -> (value check, description).
+_FIELD_KINDS = {
+    "int": (lambda v: isinstance(v, Integral) and type(v) is not bool, "an integer"),
+    "float": (lambda v: isinstance(v, Real) and type(v) is not bool, "a number"),
+    "bool": (lambda v: type(v) is bool, "true or false"),
+    "str": (lambda v: type(v) is str, "a string"),
+    "str | None": (lambda v: v is None or type(v) is str, "a string or null"),
+    "tuple": (lambda v: type(v) in (list, tuple) and all(map(_FIELD_KINDS["int"][0], v)),
+              "a list of integers"),
+}
+
+
+def check_kinds(config) -> None:
+    """Raise ValueError naming the first init field of a config dataclass whose value is of the wrong kind.
+
+    Integers take ``int`` or a NumPy integer, numbers any real; neither takes ``bool``.
+    """
+    for f in fields(config):
+        if f.init:
+            fits, expected = _FIELD_KINDS[f.type]
+            value = getattr(config, f.name)
+            if not fits(value):
+                raise ValueError(f"{f.name}: expected {expected}, got {value!r}")
 
 
 def relative_l2(a: np.ndarray, b: np.ndarray) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SeededRng, mean, require_finite
+from .core import SeededRng, check_kinds, mean, require_finite
 # Bound under this name because perfbench/tracer.py times fusion by wrapping flow_model.fuse_streams.
 from .norm_fusion import normalize_fuse as fuse_streams
 
@@ -47,6 +47,7 @@ class SamplerConfig:
     steps: int = 50
 
     def __post_init__(self):
+        check_kinds(self)
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
 

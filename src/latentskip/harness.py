@@ -15,11 +15,10 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
-from numbers import Integral, Real
 
 import numpy as np
 
-from .core import SeededRng, mean, relative_l2
+from .core import SeededRng, check_kinds, mean, relative_l2
 from .flow_model import FUSION_MODES, SamplerConfig, build_model
 from .predictor import PredictorConfig
 from .windows import WindowPlan, plan_windows, run_long
@@ -36,18 +35,6 @@ class TrajectoryFormatError(ValueError):
 
 class TrajectoryVersionError(ValueError):
     """Trajectory file written with an unsupported schema version."""
-
-
-# ExperimentConfig annotation (a string under postponed evaluation) -> (value check, description).
-_FIELD_KINDS = {
-    "int": (lambda v: isinstance(v, Integral) and type(v) is not bool, "an integer"),
-    "float": (lambda v: isinstance(v, Real) and type(v) is not bool, "a number"),
-    "bool": (lambda v: type(v) is bool, "true or false"),
-    "str": (lambda v: type(v) is str, "a string"),
-    "str | None": (lambda v: v is None or type(v) is str, "a string or null"),
-    "tuple": (lambda v: type(v) in (list, tuple) and all(map(_FIELD_KINDS["int"][0], v)),
-              "a list of integers"),
-}
 
 
 @dataclass(frozen=True)
@@ -78,12 +65,7 @@ class ExperimentConfig:
     predictor: PredictorConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.init:
-                fits, expected = _FIELD_KINDS[f.type]
-                value = getattr(self, f.name)
-                if not fits(value):
-                    raise ValueError(f"{f.name}: expected {expected}, got {value!r}")
+        check_kinds(self)
         object.__setattr__(self, "frame_shape", tuple(self.frame_shape))
         checks = [
             ("seed", self.seed >= 0, "must be >= 0"),
@@ -193,7 +175,7 @@ GRID_KEYS = {"K": "anchor_spacing", "n": "order", "dynamics": "dynamics_enabled"
 def ablation_sweep(base: ExperimentConfig, grid: dict, jobs: int = 1) -> list[MetricsReport]:
     """One report per grid cell, run one after another, sorted by (mode, K, n).
 
-    ``grid`` maps a subset of {K, n, dynamics, fusion} to value lists.
+    ``grid`` maps a subset of {K, n, dynamics, fusion} to non-empty lists (or tuples) of values.
     Every cell is built, and so checked, before any cell runs.
     ``jobs`` accepts only 1 and remains for callers that pass it.
     """
@@ -205,6 +187,9 @@ def ablation_sweep(base: ExperimentConfig, grid: dict, jobs: int = 1) -> list[Me
     if unknown:
         raise ValueError(f"unknown grid keys: {sorted(unknown)}")
     keys = sorted(grid)
+    for key in keys:
+        if type(grid[key]) not in (list, tuple) or not grid[key]:
+            raise ValueError(f"grid {key}: expected a non-empty list, got {grid[key]!r}")
     cells = []
     for combo in itertools.product(*(grid[k] for k in keys)):
         cell = dict(zip(keys, combo))

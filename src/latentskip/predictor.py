@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS, mean
+from .core import EPS, check_kinds, mean
 from .flow_model import LayerOutputs
 
 
@@ -30,6 +30,7 @@ class PredictorConfig:
     dynamics_enabled: bool = True
 
     def __post_init__(self):
+        check_kinds(self)
         if self.anchor_spacing < 1:
             raise ValueError("anchor_spacing must be >= 1")
         if self.max_order < 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import require_finite
+from .core import check_kinds, require_finite
 from .flow_model import LayerOutputs, SamplerConfig, euler_step
 from .predictor import PredictorConfig, PredictorState
 
@@ -37,6 +37,7 @@ class WindowPlan:
     spans: tuple = field(init=False)
 
     def __post_init__(self):
+        check_kinds(self)
         if not 0 <= self.overlap < self.window:
             raise ValueError("overlap must satisfy 0 <= overlap < window")
         if self.window > self.total:

@@ -323,3 +323,5 @@ class TestEulerAndSampler:
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             SamplerConfig(steps=0)
+        with pytest.raises(ValueError, match="steps: expected an integer, got True"):
+            SamplerConfig(steps=True)

@@ -96,6 +96,15 @@ class TestAblation:
         with pytest.raises(ValueError, match="empty"):
             ablation_sweep(fast_cfg(), {})
 
+    @pytest.mark.parametrize("grid, message", [
+        ({"K": 5}, "grid K: expected a non-empty list, got 5"),
+        ({"K": []}, "grid K: expected a non-empty list, got []"),  # would run no cell
+        ({"fusion": "ours"}, "grid fusion: expected a non-empty list, got 'ours'"),  # iterable, one cell per letter
+    ])
+    def test_grid_value_must_be_a_non_empty_list(self, grid, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ablation_sweep(fast_cfg(), grid)
+
     def test_rows_sorted(self):
         reports = ablation_sweep(fast_cfg(), {"K": [5, 2], "fusion": ["ours", "baseline-add"]})
         keys = [(r.mode, r.anchor_spacing, r.order) for r in reports]

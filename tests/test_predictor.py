@@ -370,6 +370,13 @@ class TestPredict:
             PredictorConfig(max_order=-1)
         with pytest.raises(ValueError):
             PredictorConfig(alpha=2.0)
+        # Kinds are checked first: a float order would size the anchor cache as a float.
+        with pytest.raises(ValueError, match="max_order: expected an integer, got 1.5"):
+            PredictorConfig(5, 1.5)
+        with pytest.raises(ValueError, match="max_order: expected an integer, got True"):
+            PredictorConfig(5, True)
+        with pytest.raises(ValueError, match="dynamics_enabled: expected true or false, got 'no'"):
+            PredictorConfig(dynamics_enabled="no")
 
 
 class TestAnchorSchedule:

@@ -10,7 +10,8 @@ import pytest
 import latentskip
 from latentskip.flow_model import build_model
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 
 # core.mean and core.stats are the package's only moments; a direct NumPy call elsewhere
@@ -27,6 +28,16 @@ def test_moments_come_from_core():
             for lineno, line in enumerate(path.read_text().splitlines(), 1)
             if MOMENT_CALL.search(line)]
     assert not hits, "compute moments with core.mean / core.stats:\n" + "\n".join(hits)
+
+
+def test_readme_quickstart_runs(capsys):
+    # The README's library example is the first code a reader runs; a stale call in it fails here.
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL)
+    assert block, "no python block under 'Library quickstart' in README.md"
+    exec(compile(block.group(1), "README.md quickstart", "exec"), {})
+    assert capsys.readouterr().out.split()[0] == "10"  # ceil(50 / 5) full evaluations
 
 
 def _tracer_hooks():

@@ -57,6 +57,10 @@ class TestPlan:
             plan_windows(8, 9, 5)
         with pytest.raises(TypeError):  # spans are derived, never given
             WindowPlan(16, 8, 3, ((0, 8),))
+        with pytest.raises(ValueError, match="window: expected an integer, got 8.0"):  # spans index frames
+            WindowPlan(16, 8.0, 2)
+        with pytest.raises(ValueError, match="total: expected an integer, got 16.0"):
+            WindowPlan(16.0, 8, 2)
 
     @pytest.mark.parametrize("total,window,overlap", [(21, 9, 5), (40, 12, 5), (10, 9, 5), (100, 7, 2)])
     def test_coverage(self, total, window, overlap):
@@ -238,8 +242,8 @@ class CountingModel:
 @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
 @pytest.mark.parametrize("frames,rows,window,overlap", [(21, 9, 9, 5), (5, 1, 3, 2)])
 def test_cond_without_a_row_per_frame_rejected(sampler, frames, rows, window, overlap):
-    # A 2-D cond holds one row per frame; any other row count is rejected before the first
-    # evaluation, where a (9, 4) cond on 21 frames in windows of 9 used to reach every window whole.
+    # A 2-D cond holds one row per frame. A (9, 4) cond fits each 9-frame window of 21 frames,
+    # so only the check against the plan's frames, before the first evaluation, catches it.
     model, cfg, pcfg = CountingModel(SMALL_MODEL), SamplerConfig(steps=5), PredictorConfig(2, 2)
     rng = SeededRng(4)
     z, cond = rng.normal((frames, 6)), rng.normal((rows, 4))
