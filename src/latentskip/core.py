@@ -88,7 +88,7 @@ _FIELD_KINDS = {
 
 
 def check_kinds(config) -> None:
-    """Raise ValueError naming the first init field of a config dataclass whose value is of the wrong kind.
+    """Raise ValueError naming a config dataclass's first init field that holds a value of the wrong kind.
 
     Integers take ``int`` or a NumPy integer, numbers any real; neither takes ``bool``.
     """

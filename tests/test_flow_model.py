@@ -80,8 +80,8 @@ class TestToyModel:
     def test_latent_off_the_frame_layout_rejected(self, shape):
         # Frames run along the first axis, each of latent_dim elements; a latent of
         # latent_dim elements in any other layout is not one frame.
-        with pytest.raises(ValueError, match=re.escape(
-                f"latent of shape {shape} incompatible with frame width 64: frames run along the first axis")):
+        message = f"latent of shape {shape} incompatible with frame width 64: frames run along the first axis"
+        with pytest.raises(ValueError, match=re.escape(message)):
             build_model(0).eval(np.zeros(shape), 0.5, np.zeros(8))
 
     def test_one_wide_frames_of_a_flat_latent(self):

@@ -250,7 +250,8 @@ def test_cond_without_a_row_per_frame_rejected(sampler, frames, rows, window, ov
     run = {"sample_full": lambda: sample_full(model, z, cond, cfg),
            "sample_accelerated": lambda: sample_accelerated(model, z, cond, cfg, pcfg),
            "run_long": lambda: run_long(model, z, cond, plan_windows(frames, window, overlap), cfg, pcfg)}
-    with pytest.raises(ValueError, match=re.escape(f"cond has {rows} rows, plan expects one per frame ({frames})")):
+    message = f"cond has {rows} rows, plan expects one per frame ({frames})"
+    with pytest.raises(ValueError, match=re.escape(message)):
         run[sampler]()
     assert model.evals == 0
 
