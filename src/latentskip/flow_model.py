@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import SeededRng, check_kinds, mean, require_finite
+from .norm_fusion import FUSION_MODES, normalize_portrait
 # Bound under this name because perfbench/tracer.py times fusion by wrapping flow_model.fuse_streams.
-from .norm_fusion import normalize_fuse as fuse_streams
-
-FUSION_MODES = ("baseline-add", "pure-norm", "centralization", "ours")
+from .norm_fusion import fuse_normalized as fuse_streams
 
 
 @dataclass
@@ -42,7 +41,7 @@ class LayerOutputs:
         return len(self.per_layer)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SamplerConfig:
     steps: int = 50
 
@@ -67,6 +66,19 @@ class MaskPair:
                 raise ValueError("mask elements must lie in [0, 1]")
 
 
+@dataclass(frozen=True)
+class Conditioning:
+    """One cond's step-invariant conditioning for ``frames`` frames, from ``ToyModel.condition``.
+
+    ``layers[m]`` is layer m's pair (image stream, normalized portrait
+    stream), each of shape (frames, layer_width): everything of the fusion
+    that no step changes. ``ToyModel.eval`` fuses each pair at every step.
+    """
+
+    frames: int
+    layers: tuple
+
+
 @dataclass
 class ToyModel:
     """Deterministic layered denoiser surrogate.
@@ -75,7 +87,9 @@ class ToyModel:
     cond_m fuses an image-conditioning stream and a portrait-conditioning
     stream according to ``fusion_mode``. Applied per frame to a latent of
     shape (frames, *frame) with prod(frame) == latent_dim; the last layer
-    returns to the frame width so the final output is a velocity.
+    returns to the frame width so the final output is a velocity. The
+    streams do not depend on the step, so a sampler builds them once per
+    window with ``condition`` and passes the result to every ``eval``.
     """
 
     layer_count: int
@@ -85,27 +99,44 @@ class ToyModel:
     fusion_mode: str = "baseline-add"
     weights: list = field(default_factory=list)  # per layer: dict(A, b, c, P_img, P_p)
 
-    def eval(self, z: np.ndarray, t: float, cond: np.ndarray) -> LayerOutputs:
+    def eval(self, z: np.ndarray, t: float, cond) -> LayerOutputs:
+        """Every layer's output at ``t``; ``cond`` is a raw cond or this model's ``Conditioning`` of it."""
         z = np.asarray(z, dtype=np.float64)
         if z.ndim == 0 or math.prod(z.shape[1:]) != self.latent_dim:
             raise ValueError(f"latent of shape {z.shape} incompatible with frame width {self.latent_dim}: "
                              "frames run along the first axis")
+        if not isinstance(cond, Conditioning):
+            cond = self.condition(cond, len(z))
+        elif cond.frames != len(z):
+            raise ValueError(f"conditioning built for {cond.frames} frames, latent has {len(z)}")
         h = z.reshape(len(z), self.latent_dim)
-        cond2d = self._cond_frames(cond, len(z))
         outs = []
-        for w in self.weights:
+        for w, (s_img, p) in zip(self.weights, cond.layers, strict=True):
             # tanh(h A^T + b + t c + fused), summed left to right in one fresh array
             x = h @ w["A"].T
             x += w["b"]
             x += t * w["c"]
-            x += fuse_streams(cond2d @ w["P_img"].T, cond2d @ w["P_p"].T, self.fusion_mode)
+            x += fuse_streams(s_img, p, self.fusion_mode)
             h = np.tanh(x, out=x)
             outs.append(h)
         return LayerOutputs(outs, z.shape)
 
-    def _cond_frames(self, cond: np.ndarray, frames: int) -> np.ndarray:
+    def condition(self, cond, frames: int) -> Conditioning:
+        """Project a shared (cond_dim,) or per-frame (frames, cond_dim) cond into every layer's streams.
+
+        The portrait stream is normalized here, once; ``eval`` does the rest of the fusion.
+        """
+        cond2d = self._cond_frames(cond, frames)
+        return Conditioning(frames, tuple(
+            (cond2d @ w["P_img"].T, normalize_portrait(cond2d @ w["P_p"].T, self.fusion_mode))
+            for w in self.weights))
+
+    def _cond_frames(self, cond, frames: int) -> np.ndarray:
         cond = np.asarray(cond, dtype=np.float64)
         if cond.ndim == 1:
+            if len(cond) != self.cond_dim:
+                raise ValueError(f"cond of shape {cond.shape} incompatible with ({self.cond_dim},): "
+                                 "a shared cond holds cond_dim values")
             cond = np.broadcast_to(cond, (frames, self.cond_dim))
         if cond.shape != (frames, self.cond_dim):
             raise ValueError(f"cond of shape {cond.shape} incompatible with ({frames}, {self.cond_dim})")

@@ -2,8 +2,12 @@
 
 ``normalize_fuse`` rescales the portrait stream to the image stream's global
 mean/std before the residual add, so the two feature distributions share a
-center; ``ToyModel.eval`` runs it at every layer. The other modes are the
-ablation baselines.
+center. It is two halves, split where the paper's Normalized Facial
+Expression Block splits: ``normalize_portrait`` standardises the portrait
+stream by its own moments, which no denoising step changes, and
+``fuse_normalized`` aligns the result to the image stream and adds. The
+model normalises each window's portrait stream once per run and fuses at
+every layer of every step. The other modes are the ablation baselines.
 """
 
 from __future__ import annotations
@@ -12,36 +16,61 @@ import numpy as np
 
 from .core import EPS, stats
 
+FUSION_MODES = ("baseline-add", "pure-norm", "centralization", "ours")
+
+
+def normalize_portrait(z_p: np.ndarray, mode: str = "ours") -> np.ndarray:
+    """The step-invariant half of the fusion: (z_p - mean_p) / max(std_p, EPS), a fresh array.
+
+    Mode "baseline-add" uses no statistics and returns z_p unchanged.
+    """
+    if mode not in FUSION_MODES:
+        raise ValueError(f"unknown fusion mode {mode!r}")
+    z_p = np.asarray(z_p, dtype=np.float64)
+    if mode == "baseline-add":
+        return z_p
+    sp = stats(z_p)
+    out = z_p - sp.mean
+    out /= max(sp.std, EPS)
+    return out
+
+
+def fuse_normalized(z_img: np.ndarray, p: np.ndarray, mode: str = "ours") -> np.ndarray:
+    """Fuse ``p = normalize_portrait(z_p, mode)`` into the image stream; ``p`` is not written to.
+
+    mode "ours": align p to (mean, std) of z_img, then add z_img.
+    mode "pure-norm": p + z_img.
+    mode "centralization": p + the standardized image stream.
+    mode "baseline-add": plain p + z_img.
+    """
+    if mode not in FUSION_MODES:
+        raise ValueError(f"unknown fusion mode {mode!r}")
+    z_img = np.asarray(z_img, dtype=np.float64)
+    if z_img.shape != np.shape(p):
+        raise ValueError("shape mismatch")
+    # Each result is one fresh array updated in place, in the order of the
+    # expression it stands for, so it is bitwise equal to that expression.
+    if mode in ("baseline-add", "pure-norm"):
+        return p + z_img
+    si = stats(z_img)
+    if mode == "ours":  # (z_p - mean_p) / std_p * std_img + mean_img + z_img
+        out = p * si.std
+        out += si.mean
+        out += z_img
+        return out
+    # centralization: (z_p - mean_p) / std_p + (z_img - mean_img) / std_img
+    img = z_img - si.mean
+    img /= max(si.std, EPS)
+    img += p  # one IEEE add commutes exactly, so this is p + img
+    return img
+
 
 def normalize_fuse(z_img: np.ndarray, z_p: np.ndarray, mode: str = "ours") -> np.ndarray:
-    """Fuse the portrait stream into the image stream.
+    """Fuse the portrait stream into the image stream: both halves above, composed.
 
     mode "ours": align z_p to (mean, std) of z_img, then add z_img.
     mode "pure-norm": standardize z_p only, then add z_img.
     mode "centralization": standardize both streams, then add.
     mode "baseline-add": plain z_p + z_img.
     """
-    z_img = np.asarray(z_img, dtype=np.float64)
-    z_p = np.asarray(z_p, dtype=np.float64)
-    if z_img.shape != z_p.shape:
-        raise ValueError("shape mismatch")
-    if mode == "baseline-add":
-        return z_p + z_img
-    sp, si = stats(z_p), stats(z_img)
-    # Each result is one fresh array updated in place, in the order of the
-    # expression it stands for, so it is bitwise equal to that expression.
-    out = z_p - sp.mean
-    out /= max(sp.std, EPS)
-    if mode == "ours":  # (z_p - mean_p) / std_p * std_img + mean_img + z_img
-        out *= si.std
-        out += si.mean
-        out += z_img
-    elif mode == "pure-norm":  # (z_p - mean_p) / std_p + z_img
-        out += z_img
-    elif mode == "centralization":  # (z_p - mean_p) / std_p + (z_img - mean_img) / std_img
-        img = z_img - si.mean
-        img /= max(si.std, EPS)
-        out += img
-    else:
-        raise ValueError(f"unknown fusion mode {mode!r}")
-    return out
+    return fuse_normalized(z_img, normalize_portrait(z_p, mode), mode)

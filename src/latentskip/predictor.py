@@ -22,7 +22,7 @@ from .core import EPS, check_kinds, mean
 from .flow_model import LayerOutputs
 
 
-@dataclass
+@dataclass(frozen=True)
 class PredictorConfig:
     anchor_spacing: int = 5     # full evaluations every this many steps (K)
     max_order: int = 3          # highest finite-difference order kept (n)

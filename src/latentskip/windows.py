@@ -102,9 +102,13 @@ def run_long(model, z_T_full: np.ndarray, cond_full, plan: WindowPlan,
     tail from the same step. The first window and the first step skip
     blending. Frames run along the first axis of ``z_T_full`` and of a 2-D
     ``cond_full``, which is sliced once per window; a 1-D (shared) cond, or
-    None, reaches the model untouched. Returns (trajectory, evals_per_window).
+    None, is every window's cond. A model with a ``condition(cond, frames)``
+    method (``ToyModel``) gets each window's cond through it once, before
+    the first step, and every evaluation of that window gets the result; any
+    other model gets the cond itself. Returns (trajectory, evals_per_window).
     NaN or inf in either input, a latent with no frames, or a 2-D cond without
-    one row per frame is a ValueError, raised before any evaluation.
+    one row per frame is a ValueError, raised before any evaluation, as is
+    any error ``condition`` raises.
     """
     z = np.array(z_T_full, dtype=np.float64)
     if latent_frames(z) != plan.total:
@@ -113,6 +117,9 @@ def run_long(model, z_T_full: np.ndarray, cond_full, plan: WindowPlan,
     if np.ndim(cond_full) == 2 and len(cond_full) != plan.total:
         raise ValueError(f"cond has {len(cond_full)} rows, plan expects one per frame ({plan.total})")
     conds = [cond_full[s:e] if np.ndim(cond_full) == 2 else cond_full for s, e in plan.spans]
+    condition = getattr(model, "condition", None)
+    if condition is not None:
+        conds = [condition(c, e - s) for c, (s, e) in zip(conds, plan.spans)]
     evaluators = [OracleState() if predictor_cfg is None else PredictorState(predictor_cfg)
                   for _ in plan.spans]
 

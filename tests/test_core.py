@@ -1,9 +1,13 @@
+import re
+from dataclasses import dataclass
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from latentskip.core import SeededRng, mean, relative_l2, stats
+from latentskip.core import SeededRng, check_kinds, mean, relative_l2, stats
 
 # Finite float64 values from subnormals to 1e300, signed zeros included.
 FLOATS = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
@@ -103,3 +107,28 @@ def test_gaussian_moments():
     x = SeededRng(7).normal([10000])
     assert abs(x.mean()) < 0.05
     assert abs(x.std() - 1.0) < 0.05
+
+
+@dataclass
+class Kinds:
+    count: "int"
+    value: "float"
+
+
+@pytest.mark.parametrize("count,value", [(3, 1.5), (3, 2), (np.int32(3), np.float32(1.5)),
+                                         (np.int64(3), np.int64(2)), (np.uint8(3), Fraction(1, 2))])
+def test_check_kinds_accepts_integers_and_reals(count, value):
+    check_kinds(Kinds(count, value))
+
+
+@pytest.mark.parametrize("count,value,message", [
+    (True, 1.0, "count: expected an integer, got True"),
+    (3.0, 1.0, "count: expected an integer, got 3.0"),
+    (np.bool_(True), 1.0, f"count: expected an integer, got {np.bool_(True)!r}"),
+    (3, False, "value: expected a number, got False"),
+    (3, "1", "value: expected a number, got '1'"),
+    (3, 1j, "value: expected a number, got 1j"),
+])
+def test_check_kinds_rejects_other_kinds(count, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_kinds(Kinds(count, value))

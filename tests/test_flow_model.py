@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import re
 
@@ -93,6 +94,26 @@ class TestToyModel:
         assert evals == 3 and traj[-1].shape == (5,)
         assert all(np.array_equal(a, b.reshape(5)) for a, b in zip(traj, framed, strict=True))
 
+    @pytest.mark.parametrize("fusion", FUSION_MODES)
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("frames", [1, 7])
+    def test_conditioned_eval_bitwise_equals_raw(self, fusion, shared, frames):
+        # A sampler conditions once per window and passes the result to every step's eval.
+        m = small_model(3, fusion_mode=fusion)
+        rng = SeededRng(4)
+        z, cond = rng.normal((frames, 12)), rng.normal(4 if shared else (frames, 4))
+        conditioning = m.condition(cond, frames)
+        for t in (1.0, 0.37, 0.0):  # one conditioning, many steps: eval never writes into it
+            raw, conditioned = m.eval(z, t, cond), m.eval(z, t, conditioning)
+            assert len(raw) == len(conditioned) == 4
+            assert all(np.array_equal(a, b) for a, b in zip(raw.per_layer, conditioned.per_layer))
+
+    def test_conditioning_frames_must_match_the_latent(self):
+        m = build_model(0)
+        conditioning = m.condition(SeededRng(1).normal((16, 8)), 16)
+        with pytest.raises(ValueError, match=re.escape("conditioning built for 16 frames, latent has 9")):
+            m.eval(np.zeros((9, 8, 8)), 0.5, conditioning)
+
     def test_invalid_dims_rejected(self):
         with pytest.raises(ValueError):
             build_model(0, layer_count=1)
@@ -125,10 +146,11 @@ def test_eval_bitwise_equals_reference(fusion, layers, width, latent_dim, frames
     inputs = [z, cond] + [a for w in model.weights for a in w.values()]
     before = [a.copy() for a in inputs]
     got = model.eval(z, t, cond).per_layer
+    conditioned = model.eval(z, t, model.condition(cond, frames)).per_layer
     ref = reference_eval(model, z, t, cond)
-    assert len(got) == len(ref) == layers
-    for g, r in zip(got, ref):
-        assert np.array_equal(g, r)
+    assert len(got) == len(conditioned) == len(ref) == layers
+    for g, c, r in zip(got, conditioned, ref):
+        assert np.array_equal(g, r) and np.array_equal(c, r)
     assert all(np.array_equal(a, b) for a, b in zip(inputs, before))  # nothing the caller owns is written
 
 
@@ -325,3 +347,10 @@ class TestEulerAndSampler:
             SamplerConfig(steps=0)
         with pytest.raises(ValueError, match="steps: expected an integer, got True"):
             SamplerConfig(steps=True)
+
+    def test_config_is_frozen(self):
+        # Checked once when built, so it cannot be made invalid afterwards.
+        cfg = SamplerConfig(steps=4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.steps = 0
+        assert cfg.steps == 4

@@ -81,6 +81,12 @@ class TestRunExperiment:
             cfg.steps = 0
         with pytest.raises(ValueError, match="steps must be >= 1"):
             replace(cfg, steps=0)
+        # The sub-configs built from it are frozen too, so they stay as checked.
+        with pytest.raises(FrozenInstanceError):
+            cfg.sampler.steps = 0
+        with pytest.raises(FrozenInstanceError):
+            cfg.predictor.max_order = 1.5
+        assert cfg.sampler.steps == 20 and cfg.predictor.max_order == 3
 
 
 class TestAblation:

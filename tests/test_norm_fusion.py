@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from latentskip.core import EPS, SeededRng, stats
-from latentskip.flow_model import FUSION_MODES
-from latentskip.norm_fusion import normalize_fuse
+from latentskip.norm_fusion import FUSION_MODES, fuse_normalized, normalize_fuse, normalize_portrait
 
 
 def reference_fuse(z_img, z_p, mode):
@@ -95,11 +94,32 @@ class TestNormalizeFuse:
         with pytest.raises(ValueError):
             normalize_fuse(z_img, z_p, "nope")
 
+    def test_halves_reject_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown fusion mode 'nope'"):
+            normalize_portrait(np.ones(3), "nope")
+        with pytest.raises(ValueError, match="unknown fusion mode 'nope'"):
+            fuse_normalized(np.ones(3), np.ones(3), "nope")
+        with pytest.raises(ValueError, match="shape mismatch"):
+            fuse_normalized(np.zeros(3), np.zeros(4), "ours")
+
+    def test_portrait_half_uses_the_portrait_stream_alone(self):
+        z_p = SeededRng(2).normal(64) * 3 - 1
+        assert normalize_portrait(z_p, "baseline-add") is z_p
+        for mode in ("ours", "pure-norm", "centralization"):
+            p = stats(normalize_portrait(z_p, mode))
+            assert abs(p.mean) < 1e-12 and abs(p.std - 1.0) < 1e-12
+
 
 @settings(max_examples=150, deadline=None)
 @given(streams=stream_pairs(), mode=st.sampled_from(FUSION_MODES))
 def test_fuse_bitwise_equals_reference(streams, mode):
     z_img, z_p = streams
     before = [z_img.copy(), z_p.copy()]
-    assert np.array_equal(normalize_fuse(z_img, z_p, mode), reference_fuse(z_img, z_p, mode))
+    reference = reference_fuse(z_img, z_p, mode)
+    assert np.array_equal(normalize_fuse(z_img, z_p, mode), reference)
+    # The model normalizes the portrait stream once and fuses the result at every step.
+    p = normalize_portrait(z_p, mode)
+    p_before = p.copy()
+    assert np.array_equal(fuse_normalized(z_img, p, mode), reference)
+    assert np.array_equal(p, p_before)  # reused at the next step, so never written to
     assert np.array_equal(z_img, before[0]) and np.array_equal(z_p, before[1])  # inputs not written to

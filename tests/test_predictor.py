@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 
@@ -377,6 +378,12 @@ class TestPredict:
             PredictorConfig(5, True)
         with pytest.raises(ValueError, match="dynamics_enabled: expected true or false, got 'no'"):
             PredictorConfig(dynamics_enabled="no")
+
+    def test_config_is_frozen(self):
+        cfg = PredictorConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.anchor_spacing = 0
+        assert cfg.anchor_spacing == 5
 
 
 class TestAnchorSchedule:

@@ -239,6 +239,52 @@ class CountingModel:
         return self.model.eval(z, t, cond)
 
 
+class ConditioningCountingModel(CountingModel):
+    """A CountingModel that also passes ``condition`` through, recording each call's frames."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.conditioned = []
+
+    def condition(self, cond, frames):
+        self.conditioned.append(frames)
+        return self.model.condition(cond, frames)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("pcfg", [None, PredictorConfig(2, 2)])
+def test_run_long_conditions_each_window_once(shared, pcfg):
+    # The conditioning is step-invariant: one call per window per run, before the first step,
+    # and the same trajectory as a model without the hook, which gets the raw cond at every step.
+    plan, cfg = plan_windows(21, 9, 5), SamplerConfig(steps=6)
+    rng = SeededRng(6)
+    z, cond = rng.normal((21, 6)), rng.normal(4 if shared else (21, 4))
+    hooked, plain = ConditioningCountingModel(SMALL_MODEL), CountingModel(SMALL_MODEL)
+    traj, evals = run_long(hooked, z, cond, plan, cfg, pcfg)
+    assert hooked.conditioned == [9, 9, 9, 9]  # the spans (0, 9), (4, 13), (8, 17), (12, 21)
+    assert hooked.evals == sum(evals) == (24 if pcfg is None else 12)
+    reference, _ = run_long(plain, z, cond, plan, cfg, pcfg)
+    assert plain.evals == hooked.evals
+    assert all(np.array_equal(a, b) for a, b in zip(traj, reference, strict=True))
+    run_long(hooked, z, cond, plan, cfg, pcfg)
+    assert len(hooked.conditioned) == 8
+
+
+@pytest.mark.parametrize("sampler", ["sample_full", "sample_accelerated", "run_long"])
+@pytest.mark.parametrize("length", [5, 0])
+def test_shared_cond_of_the_wrong_length_rejected_before_any_eval(sampler, length):
+    # ToyModel.condition checks the cond once per window, before the step loop.
+    model, cfg, pcfg = ConditioningCountingModel(SMALL_MODEL), SamplerConfig(steps=5), PredictorConfig(2, 2)
+    z, cond = SeededRng(4).normal((21, 6)), np.zeros(length)
+    run = {"sample_full": lambda: sample_full(model, z, cond, cfg),
+           "sample_accelerated": lambda: sample_accelerated(model, z, cond, cfg, pcfg),
+           "run_long": lambda: run_long(model, z, cond, plan_windows(21, 9, 5), cfg, pcfg)}
+    message = f"cond of shape ({length},) incompatible with (4,): a shared cond holds cond_dim values"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run[sampler]()
+    assert model.evals == 0 and len(model.conditioned) == 1
+
+
 @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
 @pytest.mark.parametrize("frames,rows,window,overlap", [(21, 9, 9, 5), (5, 1, 3, 2)])
 def test_cond_without_a_row_per_frame_rejected(sampler, frames, rows, window, overlap):
