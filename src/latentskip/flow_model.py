@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import SeededRng, check_kinds, mean, require_finite
-from .norm_fusion import FUSION_MODES, normalize_portrait
+from .norm_fusion import FUSION_MODES, image_moments, normalize_portrait
 # Bound under this name because perfbench/tracer.py times fusion by wrapping flow_model.fuse_streams.
 from .norm_fusion import fuse_normalized as fuse_streams
 
@@ -70,13 +70,17 @@ class MaskPair:
 class Conditioning:
     """One cond's step-invariant conditioning for ``frames`` frames, from ``ToyModel.condition``.
 
-    ``layers[m]`` is layer m's pair (image stream, normalized portrait
-    stream), each of shape (frames, layer_width): everything of the fusion
-    that no step changes. ``ToyModel.eval`` fuses each pair at every step.
+    ``layers[m]`` is layer m's triple (image stream, its moments, normalized
+    portrait stream), the streams of shape (frames, layer_width). No step
+    changes either stream, so both streams' moments are taken once per
+    window, and ``ToyModel.eval`` runs only the scale, shift and add of the
+    fusion at every step. ``model`` is the model that built it; ``eval``
+    rejects a conditioning any other model built.
     """
 
     frames: int
     layers: tuple
+    model: ToyModel = field(repr=False, compare=False)
 
 
 @dataclass
@@ -107,16 +111,21 @@ class ToyModel:
                              "frames run along the first axis")
         if not isinstance(cond, Conditioning):
             cond = self.condition(cond, len(z))
+        elif cond.model is not self:
+            other = cond.model
+            raise ValueError(f"conditioning built by another model (fusion {other.fusion_mode!r}, "
+                             f"{other.layer_count} layers), not by this one "
+                             f"(fusion {self.fusion_mode!r}, {self.layer_count} layers)")
         elif cond.frames != len(z):
             raise ValueError(f"conditioning built for {cond.frames} frames, latent has {len(z)}")
         h = z.reshape(len(z), self.latent_dim)
         outs = []
-        for w, (s_img, p) in zip(self.weights, cond.layers, strict=True):
+        for w, (s_img, si, p) in zip(self.weights, cond.layers, strict=True):
             # tanh(h A^T + b + t c + fused), summed left to right in one fresh array
             x = h @ w["A"].T
             x += w["b"]
             x += t * w["c"]
-            x += fuse_streams(s_img, p, self.fusion_mode)
+            x += fuse_streams(s_img, si, p, self.fusion_mode)
             h = np.tanh(x, out=x)
             outs.append(h)
         return LayerOutputs(outs, z.shape)
@@ -124,12 +133,17 @@ class ToyModel:
     def condition(self, cond, frames: int) -> Conditioning:
         """Project a shared (cond_dim,) or per-frame (frames, cond_dim) cond into every layer's streams.
 
-        The portrait stream is normalized here, once; ``eval`` does the rest of the fusion.
+        Both streams' moments are taken here, once: the portrait stream is
+        normalized and the image stream's moments are kept. ``eval`` runs the
+        rest of the fusion.
         """
         cond2d = self._cond_frames(cond, frames)
-        return Conditioning(frames, tuple(
-            (cond2d @ w["P_img"].T, normalize_portrait(cond2d @ w["P_p"].T, self.fusion_mode))
-            for w in self.weights))
+        layers = []
+        for w in self.weights:
+            s_img = cond2d @ w["P_img"].T
+            layers.append((s_img, image_moments(s_img, self.fusion_mode),
+                           normalize_portrait(cond2d @ w["P_p"].T, self.fusion_mode)))
+        return Conditioning(frames, tuple(layers), self)
 
     def _cond_frames(self, cond, frames: int) -> np.ndarray:
         cond = np.asarray(cond, dtype=np.float64)

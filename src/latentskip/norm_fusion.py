@@ -2,30 +2,36 @@
 
 ``normalize_fuse`` rescales the portrait stream to the image stream's global
 mean/std before the residual add, so the two feature distributions share a
-center. It is two halves, split where the paper's Normalized Facial
+center. It is three parts, split where the paper's Normalized Facial
 Expression Block splits: ``normalize_portrait`` standardises the portrait
-stream by its own moments, which no denoising step changes, and
-``fuse_normalized`` aligns the result to the image stream and adds. The
-model normalises each window's portrait stream once per run and fuses at
-every layer of every step. The other modes are the ablation baselines.
+stream by its own moments, ``image_moments`` takes the image stream's
+moments, and ``fuse_normalized`` aligns the normalized portrait stream to
+those moments and adds the image stream. No denoising step changes either
+stream, so the model takes both streams' moments once per window and runs
+only the scale, shift and add of ``fuse_normalized`` at every layer of every
+step. The other modes are the ablation baselines.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import EPS, stats
+from .core import EPS, FeatureStats, stats
 
 FUSION_MODES = ("baseline-add", "pure-norm", "centralization", "ours")
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in FUSION_MODES:
+        raise ValueError(f"unknown fusion mode {mode!r}")
+
+
 def normalize_portrait(z_p: np.ndarray, mode: str = "ours") -> np.ndarray:
-    """The step-invariant half of the fusion: (z_p - mean_p) / max(std_p, EPS), a fresh array.
+    """The portrait half of the fusion: (z_p - mean_p) / max(std_p, EPS), a fresh array.
 
     Mode "baseline-add" uses no statistics and returns z_p unchanged.
     """
-    if mode not in FUSION_MODES:
-        raise ValueError(f"unknown fusion mode {mode!r}")
+    _check_mode(mode)
     z_p = np.asarray(z_p, dtype=np.float64)
     if mode == "baseline-add":
         return z_p
@@ -35,16 +41,30 @@ def normalize_portrait(z_p: np.ndarray, mode: str = "ours") -> np.ndarray:
     return out
 
 
-def fuse_normalized(z_img: np.ndarray, p: np.ndarray, mode: str = "ours") -> np.ndarray:
-    """Fuse ``p = normalize_portrait(z_p, mode)`` into the image stream; ``p`` is not written to.
+def image_moments(z_img: np.ndarray, mode: str = "ours") -> FeatureStats | None:
+    """The image half of the fusion: ``stats(z_img)`` for the modes that read it, else None.
 
+    Modes "ours" and "centralization" read the image stream's moments;
+    "pure-norm" and "baseline-add" do not.
+    """
+    _check_mode(mode)
+    if mode in ("baseline-add", "pure-norm"):
+        return None
+    return stats(z_img)
+
+
+def fuse_normalized(z_img: np.ndarray, si: FeatureStats | None, p: np.ndarray,
+                    mode: str = "ours") -> np.ndarray:
+    """Fuse ``p = normalize_portrait(z_p, mode)`` into the image stream ``z_img``.
+
+    ``si = image_moments(z_img, mode)``: this half takes no moments itself.
+    ``p`` is not written to.
     mode "ours": align p to (mean, std) of z_img, then add z_img.
     mode "pure-norm": p + z_img.
     mode "centralization": p + the standardized image stream.
     mode "baseline-add": plain p + z_img.
     """
-    if mode not in FUSION_MODES:
-        raise ValueError(f"unknown fusion mode {mode!r}")
+    _check_mode(mode)
     z_img = np.asarray(z_img, dtype=np.float64)
     if z_img.shape != np.shape(p):
         raise ValueError("shape mismatch")
@@ -52,7 +72,8 @@ def fuse_normalized(z_img: np.ndarray, p: np.ndarray, mode: str = "ours") -> np.
     # expression it stands for, so it is bitwise equal to that expression.
     if mode in ("baseline-add", "pure-norm"):
         return p + z_img
-    si = stats(z_img)
+    if si is None:
+        raise ValueError(f"fusion mode {mode!r} needs the image stream's moments")
     if mode == "ours":  # (z_p - mean_p) / std_p * std_img + mean_img + z_img
         out = p * si.std
         out += si.mean
@@ -66,11 +87,11 @@ def fuse_normalized(z_img: np.ndarray, p: np.ndarray, mode: str = "ours") -> np.
 
 
 def normalize_fuse(z_img: np.ndarray, z_p: np.ndarray, mode: str = "ours") -> np.ndarray:
-    """Fuse the portrait stream into the image stream: both halves above, composed.
+    """Fuse the portrait stream into the image stream: the three parts above, composed.
 
     mode "ours": align z_p to (mean, std) of z_img, then add z_img.
     mode "pure-norm": standardize z_p only, then add z_img.
     mode "centralization": standardize both streams, then add.
     mode "baseline-add": plain z_p + z_img.
     """
-    return fuse_normalized(z_img, normalize_portrait(z_p, mode), mode)
+    return fuse_normalized(z_img, image_moments(z_img, mode), normalize_portrait(z_p, mode), mode)

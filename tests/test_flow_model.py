@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latentskip import flow_model
-from latentskip.core import SeededRng
+from latentskip.core import SeededRng, stats
 from latentskip.flow_model import (FUSION_MODES, LayerOutputs, MaskPair, SamplerConfig, build_model,
                                    euler_step, forward_diffuse, masked_recon_loss, velocity_loss)
 from latentskip.windows import sample_full
@@ -42,7 +42,7 @@ class TestToyModel:
         calls = []
 
         def counting(*args):
-            calls.append(args[2])
+            calls.append(args[3])
             return original(*args)
 
         monkeypatch.setattr(flow_model, "fuse_streams", counting)
@@ -103,6 +103,9 @@ class TestToyModel:
         rng = SeededRng(4)
         z, cond = rng.normal((frames, 12)), rng.normal(4 if shared else (frames, 4))
         conditioning = m.condition(cond, frames)
+        # Both streams' moments are in the conditioning; an image half the fusion does not read is None.
+        for s_img, si, _ in conditioning.layers:
+            assert si == (stats(s_img) if fusion in ("ours", "centralization") else None)
         for t in (1.0, 0.37, 0.0):  # one conditioning, many steps: eval never writes into it
             raw, conditioned = m.eval(z, t, cond), m.eval(z, t, conditioning)
             assert len(raw) == len(conditioned) == 4
@@ -113,6 +116,18 @@ class TestToyModel:
         conditioning = m.condition(SeededRng(1).normal((16, 8)), 16)
         with pytest.raises(ValueError, match=re.escape("conditioning built for 16 frames, latent has 9")):
             m.eval(np.zeros((9, 8, 8)), 0.5, conditioning)
+
+    @pytest.mark.parametrize("differs", [{"fusion_mode": "baseline-add"}, {"layer_count": 5}, {}])
+    def test_conditioning_of_another_model_rejected(self, differs):
+        # An "ours" model would read a "baseline-add" conditioning's absent image moments, and
+        # another model's projections would be fused silently: only the model that built it may use it.
+        m = build_model(0, fusion_mode="ours")
+        other = build_model(0, **{"fusion_mode": "ours", **differs})
+        conditioning = other.condition(np.ones(8), 2)
+        message = (f"conditioning built by another model (fusion {other.fusion_mode!r}, "
+                   f"{other.layer_count} layers), not by this one (fusion 'ours', 4 layers)")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            m.eval(np.zeros((2, 64)), 0.5, conditioning)
 
     def test_invalid_dims_rejected(self):
         with pytest.raises(ValueError):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latentskip import predictor
+from latentskip import norm_fusion, predictor
 from latentskip.core import SeededRng
-from latentskip.flow_model import SamplerConfig, build_model, euler_step
+from latentskip.flow_model import FUSION_MODES, SamplerConfig, build_model, euler_step
 from latentskip.predictor import PredictorConfig
 from latentskip.windows import (WindowPlan, blend_overlap, blend_weights, plan_windows, run_long,
                                 sample_accelerated, sample_full)
@@ -268,6 +268,29 @@ def test_run_long_conditions_each_window_once(shared, pcfg):
     assert all(np.array_equal(a, b) for a, b in zip(traj, reference, strict=True))
     run_long(hooked, z, cond, plan, cfg, pcfg)
     assert len(hooked.conditioned) == 8
+
+
+# Moments the fusion reads per layer: the portrait stream's, and the image stream's for two modes.
+MOMENTS_PER_LAYER = {"ours": 2, "centralization": 2, "pure-norm": 1, "baseline-add": 0}
+
+
+@pytest.mark.parametrize("fusion", FUSION_MODES)
+@pytest.mark.parametrize("pcfg", [None, PredictorConfig(2, 2)])
+def test_run_long_takes_the_moments_once_per_window(monkeypatch, fusion, pcfg):
+    # No step changes either stream, so both streams' moments are taken in condition, once
+    # per layer per window, and an eval given a conditioning takes none.
+    model = build_model(0, layer_count=3, width=8, latent_dim=6, cond_dim=4, fusion_mode=fusion)
+    original, calls = norm_fusion.stats, []
+    monkeypatch.setattr(norm_fusion, "stats", lambda x: calls.append(np.shape(x)) or original(x))
+    plan = plan_windows(12, 7, 2)  # the spans (0, 7) and (5, 12)
+    rng = SeededRng(6)
+    z, cond = rng.normal((12, 6)), rng.normal((12, 4))
+    run_long(model, z, cond, plan, SamplerConfig(steps=6), pcfg)
+    assert len(calls) == len(plan.spans) * 3 * MOMENTS_PER_LAYER[fusion]
+    conditioning = model.condition(cond[:7], 7)
+    calls.clear()
+    model.eval(z[:7], 0.5, conditioning)
+    assert calls == []
 
 
 @pytest.mark.parametrize("sampler", ["sample_full", "sample_accelerated", "run_long"])
