@@ -15,7 +15,7 @@ from .core import SeededRng, relative_l2, stats
 from .flow_model import FUSION_MODES, LayerOutputs
 from .norm_fusion import normalize_fuse
 from .predictor import AnchorCache, PredictorConfig, SigmaHistory, finite_differences, predict
-from .windows import blend_overlap, blend_weights, plan_windows
+from .windows import WindowPlan, blend_overlap, blend_weights
 
 
 def _add_run_flags(p: argparse.ArgumentParser):
@@ -93,7 +93,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    plan = plan_windows(args.frames, args.window, args.overlap)
+    plan = WindowPlan(args.frames, args.window, args.overlap)
     for s, e in plan.spans:
         print(f"({s}, {e})")
     return 0
@@ -110,7 +110,7 @@ def cmd_selftest(_args) -> int:
     st = stats(np.array([1.0, 3.0]))
     check("population stats", st.mean == 2.0 and st.std == 1.0)
 
-    plan = plan_windows(21, 9, 5)
+    plan = WindowPlan(21, 9, 5)
     check("window plan trace", plan.spans == ((0, 9), (4, 13), (8, 17), (12, 21)))
 
     w = blend_weights(5)

@@ -21,7 +21,7 @@ import numpy as np
 from .core import SeededRng, check_kinds, mean, relative_l2
 from .flow_model import FUSION_MODES, SamplerConfig, build_model
 from .predictor import PredictorConfig
-from .windows import WindowPlan, plan_windows, run_long
+from .windows import WindowPlan, run_long
 
 CSV_HEADER = ["mode", "K", "n", "alpha", "T", "L", "l", "v",
               "evals", "predicted", "wall_ms", "rel_err_final", "rel_err_mean"]
@@ -81,7 +81,7 @@ class ExperimentConfig:
             if not ok:
                 raise ValueError(f"{name}: {msg}")
         object.__setattr__(self, "sampler", SamplerConfig(steps=self.steps))
-        object.__setattr__(self, "plan", plan_windows(self.frames, self.window, self.overlap))
+        object.__setattr__(self, "plan", WindowPlan(self.frames, self.window, self.overlap))
         object.__setattr__(self, "predictor", PredictorConfig(
             self.anchor_spacing, self.order, self.alpha, self.dynamics_enabled))
 

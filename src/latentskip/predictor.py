@@ -1,9 +1,10 @@
 """Adaptive latent prediction: anchor cache, finite differences, dynamics.
 
 Full model evaluations happen only at anchor steps spaced ``anchor_spacing``
-apart; between anchors, per-layer outputs are extrapolated from the cached
-history with a truncated Taylor series whose derivatives are approximated
-by iterated finite differences. Two scalar correctors adapt the series:
+apart; between anchors, per-layer outputs are extrapolated with a truncated
+Taylor series whose derivatives are approximated by the finite differences
+at the newest anchor, kept as one table that each anchor updates by
+Newton's rule. Two scalar correctors adapt the series:
 ``scale_s`` tracks how fast the latents currently change versus average,
 ``layer_weight`` tracks each layer's derivative magnitude versus the
 cross-layer average.
@@ -58,56 +59,44 @@ class SigmaHistory:
 
 
 class AnchorCache:
-    """Ring buffer of the newest max_order+1 anchor evaluations.
+    """Newton forward-difference table of the newest ``capacity`` anchor evaluations.
 
-    Entries are kept in push order; consecutive anchor steps must be spaced
-    exactly ``spacing`` apart, in a consistent direction.
+    ``rows[l][i]`` is the i-th difference at layer l with the newest anchor as
+    base, orders capped at ``capacity - 1``. A push builds fresh row lists, so
+    a table taken earlier is never changed. Consecutive anchor steps must be
+    spaced exactly ``spacing`` apart, in a consistent direction.
     """
 
     def __init__(self, spacing: int, capacity: int):
         self.spacing = spacing
         self.capacity = capacity
-        self.entries: list[tuple[int, LayerOutputs]] = []
+        self.rows: list[list[np.ndarray]] = []
+        self.newest: LayerOutputs | None = None
+        self.newest_step: int | None = None
+        self.delta: int | None = None  # the last step difference between anchors
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def newest_step(self) -> int:
-        return self.entries[-1][0]
-
-    @property
-    def newest(self) -> LayerOutputs:
-        return self.entries[-1][1]
+        return len(self.rows[0]) if self.rows else 0
 
     def push(self, step: int, outputs: LayerOutputs, hist: SigmaHistory | None = None):
-        if self.entries:
+        """Make ``outputs`` the newest anchor: row i becomes old row i-1 - new row i-1."""
+        if self.newest is not None:
             delta = step - self.newest_step
-            if abs(delta) != self.spacing:
+            if abs(delta) != self.spacing or self.delta not in (None, delta):
                 raise ValueError("anchor spacing violated")
-            if len(self.entries) >= 2 and delta != self.entries[-1][0] - self.entries[-2][0]:
-                raise ValueError("anchor spacing violated")
+            self.delta = delta
             if hist is not None:
-                prev_final = self.newest.final
-                sigma = float(np.linalg.norm(outputs.final - prev_final)) / self.spacing
+                sigma = float(np.linalg.norm(outputs.final - self.newest.final)) / self.spacing
                 hist.record(sigma)
-        self.entries.append((step, outputs))
-        if len(self.entries) > self.capacity:
-            self.entries.pop(0)
-
-
-def difference_rows(values: list) -> list:
-    """Iterated forward differences of a newest-first value sequence.
-
-    Returns [d0, d1, ..., dm] where d0 is the newest value and
-    d_i = d_{i-1}(one step older) - d_{i-1}(newest).
-    """
-    rows = [np.asarray(v, dtype=np.float64) for v in values]
-    out = [rows[0]]
-    while len(rows) > 1:
-        rows = [rows[j + 1] - rows[j] for j in range(len(rows) - 1)]
-        out.append(rows[0])
-    return out
+        orders = min(len(self), self.capacity - 1)
+        rows = []
+        for l, value in enumerate(outputs.per_layer):
+            new = [np.asarray(value, dtype=np.float64)]
+            for i in range(1, orders + 1):
+                new.append(self.rows[l][i - 1] - new[i - 1])
+            rows.append(new)
+        self.rows = rows
+        self.newest, self.newest_step = outputs, step
 
 
 @dataclass
@@ -124,15 +113,10 @@ class DiffTable:
 
 
 def finite_differences(cache: AnchorCache) -> DiffTable:
-    """Build the difference table from the cached anchors, newest as base."""
-    if not cache.entries:
+    """The cache's difference table, newest anchor as base."""
+    if not len(cache):
         raise ValueError("empty anchor cache")
-    layer_count = len(cache.newest)
-    per_layer = []
-    for l in range(layer_count):
-        newest_first = [outputs.per_layer[l] for _, outputs in reversed(cache.entries)]
-        per_layer.append(difference_rows(newest_first))
-    return DiffTable(per_layer)
+    return DiffTable(cache.rows)
 
 
 def scale_s(hist: SigmaHistory, alpha: float) -> float:
@@ -210,7 +194,7 @@ def predict(cache: AnchorCache, table: DiffTable, hist: SigmaHistory,
     """
     if not 1 <= k <= cfg.anchor_spacing - 1:
         raise ValueError(f"k must lie in [1, {cfg.anchor_spacing - 1}]")
-    if not cache.entries:
+    if not len(cache):
         raise ValueError("empty anchor cache")
     m = min(cfg.max_order, len(cache) - 1)
     warmed = len(cache) >= cfg.max_order + 1 and bool(hist.sigmas)

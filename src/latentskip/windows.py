@@ -51,7 +51,7 @@ class WindowPlan:
         object.__setattr__(self, "spans", tuple(spans))
 
 
-# The plan's constructor under the name that perfbench, harness and cli call.
+# The plan's constructor under the name that perfbench calls; the library calls WindowPlan.
 plan_windows = WindowPlan
 
 

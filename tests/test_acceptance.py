@@ -15,8 +15,7 @@ from latentskip.flow_model import (LayerOutputs, MaskPair, SamplerConfig, build_
                                    masked_recon_loss, velocity_loss)
 from latentskip.harness import load_trajectory
 from latentskip.norm_fusion import normalize_fuse
-from latentskip.predictor import (AnchorCache, PredictorConfig, SigmaHistory, difference_rows,
-                                  finite_differences, predict)
+from latentskip.predictor import AnchorCache, PredictorConfig, SigmaHistory, finite_differences, predict
 from latentskip.windows import (blend_overlap, blend_weights, plan_windows, run_long, sample_accelerated,
                                 sample_full)
 
@@ -111,8 +110,11 @@ def test_criterion_5_difference_order():
     for i in (1, 2):
         errs = []
         for spacing in (0.1, 0.05):
-            vals = [math.sin(t + j * spacing) for j in range(i + 1)]
-            delta = float(difference_rows(vals)[i])
+            # sin(t + j * spacing) anchored at step j, newest (j = 0) last
+            cache = AnchorCache(1, i + 1)
+            for j in range(i, -1, -1):
+                cache.push(j, LayerOutputs([np.array([math.sin(t + j * spacing)])], (1,)))
+            delta = float(finite_differences(cache).per_layer[0][i][0])
             target = spacing ** i * truth[i]
             errs.append(abs(delta - target) / abs(target))
         ratio = errs[0] / errs[1]

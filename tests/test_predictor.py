@@ -11,9 +11,23 @@ import latentskip.predictor as pred_mod
 from latentskip.core import EPS, SeededRng
 from latentskip.flow_model import LayerOutputs, SamplerConfig, build_model
 from latentskip.predictor import (AnchorCache, DiffTable, PredictorConfig, PredictorState,
-                                  SigmaHistory, difference_rows, finite_differences, is_anchor_step,
-                                  layer_weight, predict, scale_s)
+                                  SigmaHistory, finite_differences, is_anchor_step, layer_weight,
+                                  predict, scale_s)
 from latentskip.windows import sample_accelerated, sample_full
+
+
+def difference_rows(values: list) -> list:
+    """Iterated forward differences of a newest-first value sequence, built from scratch.
+
+    Returns [d0, d1, ..., dm] where d0 is the newest value and
+    d_i = d_{i-1}(one step older) - d_{i-1}(newest). The cache's Newton table must equal it bitwise.
+    """
+    rows = [np.asarray(v, dtype=np.float64) for v in values]
+    out = [rows[0]]
+    while len(rows) > 1:
+        rows = [rows[j + 1] - rows[j] for j in range(len(rows) - 1)]
+        out.append(rows[0])
+    return out
 
 
 def reference_layer_weight(table, layer, order):
@@ -102,9 +116,10 @@ class TestAnchorCache:
         assert len(cache) == 1 and hist.sigmas == []
 
     def test_capacity_evicts_oldest(self):
-        cache, _ = cache_from_scalar(float, [0, 5, 10, 15, 20], spacing=5, capacity=4)
-        assert len(cache) == 4
-        assert [step for step, _ in cache.entries] == [5, 10, 15, 20]
+        cache, _ = cache_from_scalar(lambda s: float(s) ** 2, [0, 5, 10, 15, 20], spacing=5, capacity=4)
+        assert len(cache) == 4 and cache.newest_step == 20
+        # the differences of 400, 225, 100, 25: the evicted anchor at step 0 would add order 4
+        assert [float(d[0]) for d in finite_differences(cache).per_layer[0]] == [400.0, -175.0, 50.0, 0.0]
 
     def test_sigma_from_final_outputs(self):
         cache = AnchorCache(5, 4)
@@ -119,8 +134,11 @@ class TestAnchorCache:
         with pytest.raises(ValueError, match="anchor spacing violated"):
             cache.push(3, scalar_outputs(1.0))
 
-    def test_direction_flip_rejected(self):
-        cache = AnchorCache(5, 4)
+    @pytest.mark.parametrize("capacity", [1, 4])
+    def test_direction_flip_rejected(self, capacity):
+        # The last step difference is kept at every capacity, so a cache of one anchor
+        # (max_order 0) rejects the flip too.
+        cache = AnchorCache(5, capacity)
         cache.push(10, scalar_outputs(0.0))
         cache.push(15, scalar_outputs(1.0))
         with pytest.raises(ValueError, match="anchor spacing violated"):
@@ -144,19 +162,33 @@ class TestFiniteDifferences:
         table = finite_differences(cache)
         assert table.max_order == 0
 
-    def test_sin_difference_derivative_consistency(self):
-        # relative error of the i-th difference vs spacing^i * f^(i) halves with the spacing
-        t = 0.7
-        truth = {1: math.cos(t), 2: -math.sin(t)}
-        for i in (1, 2):
-            errs = []
-            for spacing in (0.1, 0.05):
-                vals = [math.sin(t + j * spacing) for j in range(i + 1)]
-                delta = float(difference_rows(vals)[i])
-                target = spacing ** i * truth[i]
-                errs.append(abs(delta - target) / abs(target))
-            ratio = errs[0] / errs[1]
-            assert 1.6 <= ratio <= 2.4
+    def test_empty_cache_rejected(self):
+        with pytest.raises(ValueError, match="empty anchor cache"):
+            finite_differences(AnchorCache(5, 4))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_newton_table_matches_from_scratch_differences_bitwise(self, data):
+        capacity, pushes = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8))
+        layers = data.draw(st.integers(1, 4))
+        hidden, final = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=2, unique=True))
+        spacing = data.draw(st.integers(1, 5))
+        delta = spacing * data.draw(st.sampled_from([1, -1]))
+        values = st.floats(-1e6, 1e6, allow_nan=False)
+        cache, history, tables = AnchorCache(spacing, capacity), [], []
+        for p in range(pushes):
+            history.insert(0, LayerOutputs([data.draw(arrays(np.float64, final if l == layers - 1 else hidden,
+                                                             elements=values)) for l in range(layers)], (final,)))
+            cache.push(p * delta, history[0])
+            assert len(cache) == min(p + 1, capacity)
+            expected = [difference_rows([outputs.per_layer[l] for outputs in history[:capacity]])
+                        for l in range(layers)]
+            tables.append((finite_differences(cache), expected))
+            # every table taken so far still holds its own anchors' differences
+            for table, want in tables:
+                assert [len(rows) for rows in table.per_layer] == [len(rows) for rows in want]
+                assert all(np.array_equal(got, ref) for rows, refs in zip(table.per_layer, want)
+                           for got, ref in zip(rows, refs))
 
 
 class TestDynamics:
@@ -263,6 +295,11 @@ class TestPredict:
             for l in range(3):
                 expected = slopes[l] * (0 - k) + offsets[l]
                 assert np.allclose(out.per_layer[l], expected, atol=1e-9)
+
+    def test_empty_cache_rejected(self):
+        table = DiffTable([[np.zeros(1)]])
+        with pytest.raises(ValueError, match="empty anchor cache"):
+            predict(AnchorCache(5, 4), table, SigmaHistory(), 1, PredictorConfig())
 
     def test_k_out_of_range(self):
         cfg = PredictorConfig(anchor_spacing=5, max_order=1)
