@@ -8,9 +8,7 @@ from .flow_model import (Conditioning, LayerOutputs, MaskPair, SamplerConfig, To
 from .harness import ExperimentConfig, MetricsReport, ablation_sweep, dump_trajectory, \
     load_trajectory, run_experiment
 from .norm_fusion import fuse_normalized, image_moments, normalize_fuse, normalize_portrait
-from .predictor import (AnchorCache, DiffTable, PredictorConfig, PredictorState, SigmaHistory,
-                        finite_differences, is_anchor_step, layer_weight, predict, scale_s)
-from .windows import (WindowPlan, blend_overlap, blend_weights, plan_windows, run_long,
-                      sample_accelerated, sample_full)
+from .predictor import PredictorConfig
+from .windows import WindowPlan, blend_overlap, blend_weights, run_long, sample_accelerated, sample_full
 
 __version__ = "0.1.0"

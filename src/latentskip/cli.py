@@ -7,6 +7,7 @@ import functools
 import json
 import sys
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from . import harness
 from .core import SeededRng, relative_l2, stats
 from .flow_model import FUSION_MODES, LayerOutputs
 from .norm_fusion import normalize_fuse
-from .predictor import AnchorCache, PredictorConfig, SigmaHistory, finite_differences, predict
+from .predictor import PredictorConfig, PredictorState
 from .windows import WindowPlan, blend_overlap, blend_weights
 
 
@@ -124,14 +125,12 @@ def cmd_selftest(_args) -> int:
     si, sa = stats(z_img), stats(aligned)
     check("stats alignment", abs(si.mean - sa.mean) < 1e-9 and abs(si.std - sa.std) < 1e-9)
 
-    # Affine trajectories are extrapolated exactly.
-    pcfg = PredictorConfig(anchor_spacing=5, max_order=1, dynamics_enabled=False)
-    cache = AnchorCache(5, 2)
-    cache.push(17, LayerOutputs([np.array([3.0 * 17 + 1])], (1,)), SigmaHistory())
-    cache.push(12, LayerOutputs([np.array([3.0 * 12 + 1])], (1,)), SigmaHistory())
-    table = finite_differences(cache)
-    pred = predict(cache, table, SigmaHistory(), 2, pcfg)
-    check("affine exactness", abs(pred.final[0] - 31.0) < 1e-9)
+    # Affine trajectories are extrapolated exactly: a one-layer model with velocity 3t + 1 at T=10,
+    # K=5, n=1 predicts step 7 (t = 0.3) from its anchors at steps 0 and 5.
+    affine = SimpleNamespace(eval=lambda z, t, cond: LayerOutputs([np.array([[3.0 * t + 1.0]])], (1, 1)))
+    state = PredictorState(PredictorConfig(anchor_spacing=5, max_order=1, dynamics_enabled=False))
+    outs = [state.step(affine, None, t, None, j) for j, t in enumerate(np.linspace(1.0, 0.0, 11)[:8])]
+    check("affine exactness", abs(outs[7].final[0, 0] - 1.9) < 1e-9)
 
     rep = harness.run_experiment(harness.ExperimentConfig(steps=10, frames=8, window=8, overlap=5))
     check("eval-count law", rep.full_eval_count == 2 and rep.predicted_step_count == 8)

@@ -19,7 +19,7 @@ from .norm_fusion import FUSION_MODES, image_moments, normalize_portrait
 from .norm_fusion import fuse_normalized as fuse_streams
 
 
-@dataclass
+@dataclass(eq=False)
 class LayerOutputs:
     """Per-layer activations of one model evaluation.
 
@@ -55,7 +55,7 @@ class SamplerConfig:
         return np.linspace(1.0, 0.0, self.steps + 1)
 
 
-@dataclass
+@dataclass(eq=False)
 class MaskPair:
     face: np.ndarray
     lip: np.ndarray
@@ -66,7 +66,7 @@ class MaskPair:
                 raise ValueError("mask elements must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Conditioning:
     """One cond's step-invariant conditioning for ``frames`` frames, from ``ToyModel.condition``.
 
@@ -80,10 +80,10 @@ class Conditioning:
 
     frames: int
     layers: tuple
-    model: ToyModel = field(repr=False, compare=False)
+    model: ToyModel = field(repr=False)
 
 
-@dataclass
+@dataclass(eq=False)
 class ToyModel:
     """Deterministic layered denoiser surrogate.
 

@@ -3,11 +3,12 @@
 Full model evaluations happen only at anchor steps spaced ``anchor_spacing``
 apart; between anchors, per-layer outputs are extrapolated with a truncated
 Taylor series whose derivatives are approximated by the finite differences
-at the newest anchor, kept as one table that each anchor updates by
-Newton's rule. Two scalar correctors adapt the series:
-``scale_s`` tracks how fast the latents currently change versus average,
-``layer_weight`` tracks each layer's derivative magnitude versus the
-cross-layer average.
+at the newest anchor. The cache keeps that table, which each anchor updates
+by Newton's rule, and the latent shape, not the anchors' outputs. Two scalar
+correctors adapt the series: ``scale_s`` tracks how fast the latents
+currently change versus average, ``layer_weight`` tracks each layer's
+derivative magnitude versus the cross-layer average. ``PredictorState``, one
+per window of ``run_long``, is the interface; the rest is its internals.
 """
 
 from __future__ import annotations
@@ -62,16 +63,17 @@ class AnchorCache:
     """Newton forward-difference table of the newest ``capacity`` anchor evaluations.
 
     ``rows[l][i]`` is the i-th difference at layer l with the newest anchor as
-    base, orders capped at ``capacity - 1``. A push builds fresh row lists, so
-    a table taken earlier is never changed. Consecutive anchor steps must be
-    spaced exactly ``spacing`` apart, in a consistent direction.
+    base, orders capped at ``capacity - 1``; ``shape`` is the newest anchor's
+    latent shape. A push builds fresh row lists, so a table taken earlier is
+    never changed. Consecutive anchor steps must be spaced exactly
+    ``spacing`` apart, in a consistent direction.
     """
 
     def __init__(self, spacing: int, capacity: int):
         self.spacing = spacing
         self.capacity = capacity
         self.rows: list[list[np.ndarray]] = []
-        self.newest: LayerOutputs | None = None
+        self.shape: tuple | None = None
         self.newest_step: int | None = None
         self.delta: int | None = None  # the last step difference between anchors
 
@@ -80,14 +82,11 @@ class AnchorCache:
 
     def push(self, step: int, outputs: LayerOutputs, hist: SigmaHistory | None = None):
         """Make ``outputs`` the newest anchor: row i becomes old row i-1 - new row i-1."""
-        if self.newest is not None:
+        if self.newest_step is not None:
             delta = step - self.newest_step
             if abs(delta) != self.spacing or self.delta not in (None, delta):
                 raise ValueError("anchor spacing violated")
             self.delta = delta
-            if hist is not None:
-                sigma = float(np.linalg.norm(outputs.final - self.newest.final)) / self.spacing
-                hist.record(sigma)
         orders = min(len(self), self.capacity - 1)
         rows = []
         for l, value in enumerate(outputs.per_layer):
@@ -95,17 +94,19 @@ class AnchorCache:
             for i in range(1, orders + 1):
                 new.append(self.rows[l][i - 1] - new[i - 1])
             rows.append(new)
+        if hist is not None and self.rows:
+            hist.record(float(np.linalg.norm(rows[-1][0] - self.rows[-1][0])) / self.spacing)
         self.rows = rows
-        self.newest, self.newest_step = outputs, step
+        self.shape, self.newest_step = outputs.shape, step
 
 
-@dataclass
+@dataclass(eq=False)
 class DiffTable:
     """Per-layer finite differences at the newest anchor, orders 0..max."""
 
     per_layer: list  # per_layer[l][i] = i-th difference at layer l
     # order -> every layer's layer_weight, filled on the order's first query
-    weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    weights: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def max_order(self) -> int:
@@ -210,7 +211,7 @@ def predict(cache: AnchorCache, table: DiffTable, hist: SigmaHistory,
         terms.append(row)
     layers = PredictedLayers(table.per_layer, terms)
     layers[-1]  # built now: run_long reads only the final layer, right after this returns
-    return LayerOutputs(layers, cache.newest.shape)
+    return LayerOutputs(layers, cache.shape)
 
 
 def is_anchor_step(step_index: int, cfg: PredictorConfig) -> bool:
@@ -221,8 +222,9 @@ def is_anchor_step(step_index: int, cfg: PredictorConfig) -> bool:
 class PredictorState:
     """Anchor cache + dynamics bookkeeping for one sampling stream.
 
-    ``windows.run_long`` keeps one instance per context window and calls
-    ``step`` once per denoising step; ``evals`` counts the anchor steps.
+    ``windows.run_long`` keeps one instance per context window on the
+    accelerated path and calls ``step`` once per denoising step; ``evals``
+    counts the anchor steps, the only steps that evaluate the model.
     """
 
     def __init__(self, cfg: PredictorConfig):

@@ -1,11 +1,12 @@
 """Weighted sliding windows over long latent sequences, and the one sampling loop.
 
 Long sequences are denoised as overlapping context windows. At every
-denoising step each window advances independently through its evaluator
-(``OracleState`` evaluates the model, ``PredictorState`` extrapolates
-between anchors), then its leading overlap frames are blended with the
-previous window's trailing frames under a linear 0..1 ramp. ``sample_full``
-and ``sample_accelerated`` are ``run_long`` over a single window.
+denoising step each window advances independently, by a model evaluation
+on the oracle path or through its own ``PredictorState`` (anchors and
+extrapolation) on the accelerated one, then its leading overlap frames are
+blended with the previous window's trailing frames under a linear 0..1
+ramp. ``sample_full`` and ``sample_accelerated`` are ``run_long`` over a
+single window.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import check_kinds, require_finite
-from .flow_model import LayerOutputs, SamplerConfig, euler_step
+from .flow_model import SamplerConfig, euler_step
 from .predictor import PredictorConfig, PredictorState
 
 
@@ -80,35 +81,25 @@ def blend_overlap(prev_tail: np.ndarray, cur_head: np.ndarray, weights: np.ndarr
     return out
 
 
-class OracleState:
-    """Evaluator that runs the full model at every step (the oracle)."""
-
-    def __init__(self):
-        self.evals = 0
-
-    def step(self, model, z: np.ndarray, t: float, cond, step_index: int) -> LayerOutputs:
-        self.evals += 1
-        return model.eval(z, t, cond)
-
-
 def run_long(model, z_T_full: np.ndarray, cond_full, plan: WindowPlan,
              sampler_cfg, predictor_cfg: PredictorConfig | None = None):
     """Denoise a length-L sequence window by window with per-step blending.
 
-    Each window steps through its own evaluator: the oracle without a
-    ``predictor_cfg``, a ``PredictorState`` with one. Within each step,
-    windows are advanced left to right from the previous step's state; each
-    window's head overlap is blended against the previous window's pre-blend
-    tail from the same step. The first window and the first step skip
-    blending. Frames run along the first axis of ``z_T_full`` and of a 2-D
-    ``cond_full``, which is sliced once per window; a 1-D (shared) cond, or
-    None, is every window's cond. A model with a ``condition(cond, frames)``
+    Without a ``predictor_cfg`` every window evaluates the model at every
+    step (the oracle); with one, each window steps through its own
+    ``PredictorState``. Within each step, windows are advanced left to right
+    from the previous step's state; each window's head overlap is blended
+    against the previous window's pre-blend tail from the same step. The
+    first window and the first step skip blending. Frames run along the
+    first axis of ``z_T_full`` and of a 2-D ``cond_full``, which is sliced
+    once per window; a 1-D (shared) cond, or None, is every window's cond. A model with a ``condition(cond, frames)``
     method (``ToyModel``) gets each window's cond through it once, before
     the first step, and every evaluation of that window gets the result; any
     other model gets the cond itself. Returns (trajectory, evals_per_window).
     NaN or inf in either input, a latent with no frames, or a 2-D cond without
     one row per frame is a ValueError, raised before any evaluation, as is
-    any error ``condition`` raises.
+    any error ``condition`` raises. A trajectory that turns NaN or inf is a
+    ValueError naming its first non-finite latent.
     """
     z = np.array(z_T_full, dtype=np.float64)
     if latent_frames(z) != plan.total:
@@ -120,8 +111,7 @@ def run_long(model, z_T_full: np.ndarray, cond_full, plan: WindowPlan,
     condition = getattr(model, "condition", None)
     if condition is not None:
         conds = [condition(c, e - s) for c, (s, e) in zip(conds, plan.spans)]
-    evaluators = [OracleState() if predictor_cfg is None else PredictorState(predictor_cfg)
-                  for _ in plan.spans]
+    states = None if predictor_cfg is None else [PredictorState(predictor_cfg) for _ in plan.spans]
 
     ts = sampler_cfg.timesteps()
     v = plan.overlap
@@ -131,9 +121,9 @@ def run_long(model, z_T_full: np.ndarray, cond_full, plan: WindowPlan,
         t, dt = float(ts[j]), float(ts[j] - ts[j + 1])
         new_z = z.copy()
         prev_tail = None
-        for wi, ((s, e), cond, evaluator) in enumerate(zip(plan.spans, conds, evaluators)):
+        for wi, ((s, e), cond) in enumerate(zip(plan.spans, conds)):
             zi = z[s:e]
-            out = evaluator.step(model, zi, t, cond, j)
+            out = model.eval(zi, t, cond) if states is None else states[wi].step(model, zi, t, cond, j)
             stepped = euler_step(zi, out.final, dt)
             cur_tail = stepped[len(stepped) - v:].copy()  # pre-blend tail; empty at v = 0, where -v is 0
             if wi > 0 and j > 0:
@@ -142,7 +132,14 @@ def run_long(model, z_T_full: np.ndarray, cond_full, plan: WindowPlan,
             prev_tail = cur_tail
         z = new_z
         trajectory.append(z)
-    return trajectory, [ev.evals for ev in evaluators]
+    # Each frame is an Euler step of the same frame of the latent before, then at most a blend with
+    # weights in [0, 1], so a NaN or inf in any latent survives to the last: one check covers them all.
+    if not np.isfinite(z).all():
+        bad = next(i for i, zi in enumerate(trajectory) if not np.isfinite(zi).all())
+        raise ValueError(f"trajectory latent {bad} is not finite: "
+                         "an evaluation or an extrapolation gave NaN or inf")
+    evals = [sampler_cfg.steps] * len(plan.spans) if states is None else [st.evals for st in states]
+    return trajectory, evals
 
 
 def sample_full(model, z_T: np.ndarray, cond: np.ndarray, cfg: SamplerConfig):

@@ -10,6 +10,7 @@ from latentskip import flow_model
 from latentskip.core import SeededRng, stats
 from latentskip.flow_model import (FUSION_MODES, LayerOutputs, MaskPair, SamplerConfig, build_model,
                                    euler_step, forward_diffuse, masked_recon_loss, velocity_loss)
+from latentskip.predictor import DiffTable
 from latentskip.windows import sample_full
 from test_norm_fusion import reference_fuse
 
@@ -134,6 +135,25 @@ class TestToyModel:
             build_model(0, layer_count=1)
         with pytest.raises(ValueError):
             build_model(0, width=1)
+
+
+MODEL = small_model()
+ARRAY_HOLDERS = {
+    "LayerOutputs": lambda: LayerOutputs([np.zeros((2, 3))], (2, 3)),
+    "MaskPair": lambda: MaskPair(np.zeros(3), np.ones(3)),
+    "ToyModel": lambda: small_model(),
+    "Conditioning": lambda: MODEL.condition(np.zeros(4), 2),
+    "DiffTable": lambda: DiffTable([[np.zeros(3)]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_HOLDERS))
+def test_array_holding_dataclasses_compare_by_identity(name):
+    # A field-wise __eq__ would compare arrays, whose truth value is ambiguous, and a field-wise
+    # __hash__ would hash them. Identity is how eval matches a Conditioning to its model.
+    a, b = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 def reference_eval(model, z, t, cond):

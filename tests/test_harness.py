@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from latentskip import harness
+from latentskip import harness, predictor
 from latentskip.cli import _add_run_flags, _load_config, main
 from latentskip.harness import (CSV_HEADER, ExperimentConfig, TrajectoryFormatError,
                                 TrajectoryVersionError, ablation_sweep, dump_trajectory,
@@ -423,3 +423,9 @@ class TestCli:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+    def test_selftest_catches_a_zero_order_hold(self, monkeypatch, capsys):
+        # An extrapolation that holds the newest anchor's value is exact only for a constant field.
+        monkeypatch.setattr(predictor, "extrapolate_layer", lambda diffs, terms: diffs[0].copy())
+        assert main(["selftest"]) == 1
+        assert "FAIL  affine exactness" in capsys.readouterr().out.splitlines()

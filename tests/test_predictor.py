@@ -175,12 +175,15 @@ class TestFiniteDifferences:
         spacing = data.draw(st.integers(1, 5))
         delta = spacing * data.draw(st.sampled_from([1, -1]))
         values = st.floats(-1e6, 1e6, allow_nan=False)
-        cache, history, tables = AnchorCache(spacing, capacity), [], []
+        cache, hist, history, tables = AnchorCache(spacing, capacity), SigmaHistory(), [], []
         for p in range(pushes):
             history.insert(0, LayerOutputs([data.draw(arrays(np.float64, final if l == layers - 1 else hidden,
                                                              elements=values)) for l in range(layers)], (final,)))
-            cache.push(p * delta, history[0])
-            assert len(cache) == min(p + 1, capacity)
+            cache.push(p * delta, history[0], hist)
+            assert len(cache) == min(p + 1, capacity) and cache.shape == (final,)
+            # sigma comes from the table's final-layer row 0, bitwise equal to the anchors' outputs
+            assert hist.sigmas == [float(np.linalg.norm(new.final - old.final)) / spacing
+                                   for new, old in zip(history[-2::-1], history[::-1])]
             expected = [difference_rows([outputs.per_layer[l] for outputs in history[:capacity]])
                         for l in range(layers)]
             tables.append((finite_differences(cache), expected))

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -28,6 +29,33 @@ def test_moments_come_from_core():
             for lineno, line in enumerate(path.read_text().splitlines(), 1)
             if MOMENT_CALL.search(line)]
     assert not hits, "compute moments with core.mean / core.stats:\n" + "\n".join(hits)
+
+
+# What the rest of the package may take from predictor: its config and its one interface.
+PREDICTOR_INTERFACE = {"PredictorConfig", "PredictorState"}
+
+
+def test_predictor_internals_stay_in_predictor():
+    # Outside predictor.py and windows.py nothing may import the cache, the table or the
+    # correctors, so those internals can change by touching predictor.py and its tests alone.
+    package = Path(latentskip.__file__).parent
+    sources = sorted(p for p in package.glob("*.py") if p.name not in ("predictor.py", "windows.py"))
+    assert sources, f"no modules found in {package}"
+    hits = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                module = "." * node.level + (node.module or "")
+                names = {alias.name for alias in node.names}
+                if module in (".predictor", "latentskip.predictor"):
+                    names -= PREDICTOR_INTERFACE
+                else:  # the whole module, from . import predictor, is an import of its internals too
+                    names &= {"predictor"} if module in (".", "latentskip") else set()
+                hits += [f"{path.name}:{node.lineno}: {module} imports {name}" for name in sorted(names)]
+            elif isinstance(node, ast.Import):
+                hits += [f"{path.name}:{node.lineno}: imports {alias.name}" for alias in node.names
+                         if alias.name == "latentskip.predictor"]
+    assert not hits, "import only PredictorConfig and PredictorState from predictor:\n" + "\n".join(hits)
 
 
 def test_readme_quickstart_runs(capsys):

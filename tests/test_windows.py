@@ -331,3 +331,96 @@ def test_latent_without_frames_rejected(sampler, shape):
     # Rejected before any window plan is built, so the message names the latent, not the plan.
     with pytest.raises(ValueError, match=re.escape(f"z_T must have at least one frame, got shape {shape}")):
         SAMPLERS[sampler](np.zeros(shape), np.zeros(4), SamplerConfig(steps=5))
+
+
+class NaNInjectingModel:
+    """SMALL_MODEL, but the final layer of one frame is NaN at one (step, window).
+
+    ``condition`` tags each window's conditioning with the window's index, in
+    the order ``run_long`` conditions them; the step is read back from ``t``.
+    """
+
+    def __init__(self, steps, step, window, frame):
+        self.steps, self.target = steps, (step, window, frame)
+        self.windows, self.fired = 0, False
+
+    def condition(self, cond, frames):
+        self.windows += 1
+        return self.windows - 1, SMALL_MODEL.condition(cond, frames)
+
+    def eval(self, z, t, cond):
+        window, conditioning = cond
+        out = SMALL_MODEL.eval(z, t, conditioning)
+        step, target_window, frame = self.target
+        if (round((1.0 - t) * self.steps), window) == (step, target_window):
+            out.per_layer[-1][frame] = np.nan
+            self.fired = True
+        return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_nan_evaluation_raises_or_is_overwritten(data):
+    # window < 2 * overlap is drawn too: a window's blended head and pre-blend tail then share frames.
+    window = data.draw(st.integers(3, 9), label="window")
+    overlap = data.draw(st.integers(2, window - 1), label="overlap")
+    total = data.draw(st.integers(window, 16), label="total")
+    plan = plan_windows(total, window, overlap if window < total else 0)
+    steps = data.draw(st.integers(1, 6), label="steps")
+    pcfg = data.draw(st.sampled_from([None, PredictorConfig(1, 0), PredictorConfig(2, 1),
+                                      PredictorConfig(3, 2, dynamics_enabled=False)]), label="pcfg")
+    wi = data.draw(st.integers(0, len(plan.spans) - 1), label="window index")
+    s, e = plan.spans[wi]
+    step, frame = data.draw(st.integers(0, steps - 1), label="step"), data.draw(st.integers(0, e - s - 1))
+    model = NaNInjectingModel(steps, step, wi, frame)
+    rng = SeededRng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    z, cond = rng.normal((total, 6)), rng.normal((total, 4))
+    # The NaN reaches the step's latent unless a later window overwrites its frame: at step 0,
+    # where nothing is blended, the next window does; after it, the window after next does, with a
+    # blend of the next window's pre-blend tail. A predictor may carry an overwritten NaN on.
+    later = wi + (1 if step == 0 else 2)
+    survives = later >= len(plan.spans) or s + frame < plan.spans[later][0]
+    with np.errstate(all="ignore"):
+        try:
+            trajectory, _ = run_long(model, z, cond, plan, SamplerConfig(steps=steps), pcfg)
+        except ValueError as exc:
+            bad = re.fullmatch(r"trajectory latent (\d+) is not finite: .*", str(exc))
+            assert bad and model.fired and int(bad.group(1)) > step
+        else:
+            assert all(np.isfinite(latent).all() for latent in trajectory)
+            assert not (model.fired and survives)
+
+
+class ScaledModel:
+    """SMALL_MODEL's final layer times ``scale``, with the sign flipped at every other anchor."""
+
+    def __init__(self, scale, steps, spacing):
+        self.scale, self.steps, self.spacing = scale, steps, spacing
+
+    def eval(self, z, t, cond):
+        out = SMALL_MODEL.eval(z, t, cond)
+        anchor = round((1.0 - t) * self.steps) // self.spacing
+        out.per_layer[-1] *= self.scale * (-1.0) ** anchor
+        return out
+
+
+@pytest.mark.parametrize("sampler", ["sample_full", "sample_accelerated"])
+def test_nan_model_raises(sampler):
+    z, cond, cfg = SeededRng(5).normal((4, 6)), SeededRng(6).normal(4), SamplerConfig(steps=6)
+    model = ScaledModel(np.nan, cfg.steps, 2)
+    run = {"sample_full": lambda: sample_full(model, z, cond, cfg),
+           "sample_accelerated": lambda: sample_accelerated(model, z, cond, cfg, PredictorConfig(2, 1))}
+    message = "trajectory latent 1 is not finite"
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=re.escape(message)):
+        run[sampler]()
+
+
+def test_overflowing_extrapolation_raises():
+    # Outputs near 1e307 of alternating sign: the order-3 difference is about 8x that, so a term
+    # diff_i * (-k)^i of the prediction overflows to inf, which no Euler step rejects.
+    z, cond, cfg = SeededRng(5).normal((4, 6)), SeededRng(6).normal(4), SamplerConfig(steps=20)
+    model = ScaledModel(1e307, cfg.steps, 5)
+    oracle, _ = sample_full(model, z, cond, cfg)
+    assert np.isfinite(oracle[-1]).all()
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+        sample_accelerated(model, z, cond, cfg, PredictorConfig(5, 3, dynamics_enabled=False))
