@@ -172,7 +172,7 @@ def build_model(seed: int, layer_count: int = 4, width: int = 32,
         in_dim = latent_dim if m == 0 else width
         out_dim = latent_dim if m == layer_count - 1 else width
         weights.append({
-            "A": rng.normal((out_dim, in_dim)) * scale,
+            "A": np.asfortranarray(rng.normal((out_dim, in_dim)) * scale),
             "b": rng.normal(out_dim) * scale,
             "c": rng.normal(out_dim) * scale,
             "P_img": rng.normal((out_dim, cond_dim)) * scale,

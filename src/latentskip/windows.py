@@ -99,7 +99,8 @@ def run_long(model, z_T_full: np.ndarray, cond_full, plan: WindowPlan,
     NaN or inf in either input, a latent with no frames, or a 2-D cond without
     one row per frame is a ValueError, raised before any evaluation, as is
     any error ``condition`` raises. A trajectory that turns NaN or inf is a
-    ValueError naming its first non-finite latent.
+    ValueError naming its first non-finite latent, with no RuntimeWarning
+    on the way.
     """
     z = np.array(z_T_full, dtype=np.float64)
     if latent_frames(z) != plan.total:
@@ -117,21 +118,24 @@ def run_long(model, z_T_full: np.ndarray, cond_full, plan: WindowPlan,
     v = plan.overlap
     weights = blend_weights(v) if len(plan.spans) > 1 else None
     trajectory = [z]
-    for j in range(sampler_cfg.steps):
-        t, dt = float(ts[j]), float(ts[j] - ts[j + 1])
-        new_z = z.copy()
-        prev_tail = None
-        for wi, ((s, e), cond) in enumerate(zip(plan.spans, conds)):
-            zi = z[s:e]
-            out = model.eval(zi, t, cond) if states is None else states[wi].step(model, zi, t, cond, j)
-            stepped = euler_step(zi, out.final, dt)
-            cur_tail = stepped[len(stepped) - v:].copy()  # pre-blend tail; empty at v = 0, where -v is 0
-            if wi > 0 and j > 0:
-                stepped[:v] = blend_overlap(prev_tail, stepped[:v], weights)
-            new_z[s:e] = stepped
-            prev_tail = cur_tail
-        z = new_z
-        trajectory.append(z)
+    # A NaN or inf from an evaluation or an extrapolation is the ValueError below, not a
+    # RuntimeWarning on the way; euler_step still raises on an overflow of its own.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(sampler_cfg.steps):
+            t, dt = float(ts[j]), float(ts[j] - ts[j + 1])
+            new_z = z.copy()
+            prev_tail = None
+            for wi, ((s, e), cond) in enumerate(zip(plan.spans, conds)):
+                zi = z[s:e]
+                out = model.eval(zi, t, cond) if states is None else states[wi].step(model, zi, t, cond, j)
+                stepped = euler_step(zi, out.final, dt)
+                cur_tail = stepped[len(stepped) - v:].copy()  # pre-blend tail; empty at v = 0, where -v is 0
+                if wi > 0 and j > 0:
+                    stepped[:v] = blend_overlap(prev_tail, stepped[:v], weights)
+                new_z[s:e] = stepped
+                prev_tail = cur_tail
+            z = new_z
+            trajectory.append(z)
     # Each frame is an Euler step of the same frame of the latent before, then at most a blend with
     # weights in [0, 1], so a NaN or inf in any latent survives to the last: one check covers them all.
     if not np.isfinite(z).all():

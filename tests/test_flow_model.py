@@ -189,6 +189,31 @@ def test_eval_bitwise_equals_reference(fusion, layers, width, latent_dim, frames
     assert all(np.array_equal(a, b) for a, b in zip(inputs, before))  # nothing the caller owns is written
 
 
+@pytest.mark.parametrize("shape", [{}, {"layer_count": 2, "width": 2, "latent_dim": 3, "cond_dim": 0},
+                                   {"layer_count": 16, "width": 128}])
+def test_weights_a_are_stored_in_the_layout_eval_reads(shape):
+    # eval multiplies by A.T: stored Fortran-ordered, A.T is C-contiguous, and BLAS reads it unrepacked.
+    for w in build_model(0, **shape).weights:
+        assert w["A"].flags.f_contiguous and w["A"].T.flags.c_contiguous
+
+
+@settings(max_examples=60, deadline=None)
+@given(fusion=st.sampled_from(FUSION_MODES), layers=st.integers(2, 5), width=st.integers(2, 130),
+       latent_dim=st.integers(1, 64), frames=st.integers(1, 17),
+       cond_dim=st.integers(0, 9), shared=st.booleans(), t=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
+def test_weight_layout_changes_only_rounding(fusion, layers, width, latent_dim, frames, cond_dim, shared, t, seed):
+    model = build_model(seed, layers, width, latent_dim, cond_dim, fusion)
+    c_ordered = dataclasses.replace(model, weights=[{**w, "A": np.ascontiguousarray(w["A"])}
+                                                    for w in model.weights])
+    rng = SeededRng(seed + 1)
+    z = rng.normal((frames, latent_dim))
+    cond = rng.normal(cond_dim if shared else (frames, cond_dim))
+    got, ref = model.eval(z, t, cond).per_layer, c_ordered.eval(z, t, cond).per_layer
+    assert len(got) == len(ref) == layers
+    for g, r in zip(got, ref):
+        assert np.max(np.abs(g - r)) <= 1e-12
+
+
 class TestForwardDiffuse:
     def test_endpoints(self):
         x0, x1 = SeededRng(1).normal(8), SeededRng(2).normal(8)

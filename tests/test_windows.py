@@ -380,15 +380,14 @@ def test_nan_evaluation_raises_or_is_overwritten(data):
     # blend of the next window's pre-blend tail. A predictor may carry an overwritten NaN on.
     later = wi + (1 if step == 0 else 2)
     survives = later >= len(plan.spans) or s + frame < plan.spans[later][0]
-    with np.errstate(all="ignore"):
-        try:
-            trajectory, _ = run_long(model, z, cond, plan, SamplerConfig(steps=steps), pcfg)
-        except ValueError as exc:
-            bad = re.fullmatch(r"trajectory latent (\d+) is not finite: .*", str(exc))
-            assert bad and model.fired and int(bad.group(1)) > step
-        else:
-            assert all(np.isfinite(latent).all() for latent in trajectory)
-            assert not (model.fired and survives)
+    try:  # under pytest's error::RuntimeWarning filter: the NaN must surface as the ValueError alone
+        trajectory, _ = run_long(model, z, cond, plan, SamplerConfig(steps=steps), pcfg)
+    except ValueError as exc:
+        bad = re.fullmatch(r"trajectory latent (\d+) is not finite: .*", str(exc))
+        assert bad and model.fired and int(bad.group(1)) > step
+    else:
+        assert all(np.isfinite(latent).all() for latent in trajectory)
+        assert not (model.fired and survives)
 
 
 class ScaledModel:
@@ -411,7 +410,7 @@ def test_nan_model_raises(sampler):
     run = {"sample_full": lambda: sample_full(model, z, cond, cfg),
            "sample_accelerated": lambda: sample_accelerated(model, z, cond, cfg, PredictorConfig(2, 1))}
     message = "trajectory latent 1 is not finite"
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=re.escape(message)):  # and no RuntimeWarning, which pytest makes an error
         run[sampler]()
 
 
@@ -422,5 +421,5 @@ def test_overflowing_extrapolation_raises():
     model = ScaledModel(1e307, cfg.steps, 5)
     oracle, _ = sample_full(model, z, cond, cfg)
     assert np.isfinite(oracle[-1]).all()
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+    with pytest.raises(ValueError, match="not finite"):  # and no RuntimeWarning, which pytest makes an error
         sample_accelerated(model, z, cond, cfg, PredictorConfig(5, 3, dynamics_enabled=False))
