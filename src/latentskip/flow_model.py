@@ -94,6 +94,10 @@ class ToyModel:
     returns to the frame width so the final output is a velocity. The
     streams do not depend on the step, so a sampler builds them once per
     window with ``condition`` and passes the result to every ``eval``.
+
+    Each layer stores A_m, b_m and c_m side by side in one Fortran-ordered
+    block ``Abc`` = [A | b | c] of shape (out, in + 2), so ``eval`` takes
+    A_m h + b_m + t*c_m as one product of [h | 1 | t] with ``Abc``.
     """
 
     layer_count: int
@@ -101,7 +105,7 @@ class ToyModel:
     latent_dim: int
     cond_dim: int
     fusion_mode: str = "baseline-add"
-    weights: list = field(default_factory=list)  # per layer: dict(A, b, c, P_img, P_p)
+    weights: list = field(default_factory=list)  # per layer: dict(Abc, its views A, b, c, P_img, P_p)
 
     def eval(self, z: np.ndarray, t: float, cond) -> LayerOutputs:
         """Every layer's output at ``t``; ``cond`` is a raw cond or this model's ``Conditioning`` of it."""
@@ -118,16 +122,25 @@ class ToyModel:
                              f"(fusion {self.fusion_mode!r}, {self.layer_count} layers)")
         elif cond.frames != len(z):
             raise ValueError(f"conditioning built for {cond.frames} frames, latent has {len(z)}")
-        h = z.reshape(len(z), self.latent_dim)
-        outs = []
-        for w, (s_img, si, p) in zip(self.weights, cond.layers, strict=True):
-            # tanh(h A^T + b + t c + fused), summed left to right in one fresh array
-            x = h @ w["A"].T
-            x += w["b"]
-            x += t * w["c"]
+        # Each layer's input is [h | 1 | t], so one product [h | 1 | t] @ [A | b | c]^T is
+        # h A^T + b + t c. The hidden outputs are written, as views, into one buffer that
+        # already holds their (1, t) columns; the last layer's is its own array. The buffer
+        # is new at every call, because the predictor keeps an anchor's outputs.
+        frames = len(z)
+        first = np.empty((frames, self.latent_dim + 2))
+        first[:, :-2] = z.reshape(frames, self.latent_dim)
+        first[:, -2:] = (1.0, t)
+        hidden = np.empty((self.layer_count - 1, frames, self.width + 2))
+        hidden[..., -2:] = (1.0, t)
+        hin, outs = first, []
+        for m, (w, (s_img, si, p)) in enumerate(zip(self.weights, cond.layers, strict=True)):
+            x = hin @ w["Abc"].T
             x += fuse_streams(s_img, si, p, self.fusion_mode)
-            h = np.tanh(x, out=x)
-            outs.append(h)
+            if m == self.layer_count - 1:
+                outs.append(np.tanh(x, out=x))
+            else:
+                hin = hidden[m]
+                outs.append(np.tanh(x, out=hin[:, :-2]))
         return LayerOutputs(outs, z.shape)
 
     def condition(self, cond, frames: int) -> Conditioning:
@@ -171,10 +184,16 @@ def build_model(seed: int, layer_count: int = 4, width: int = 32,
     for m in range(layer_count):
         in_dim = latent_dim if m == 0 else width
         out_dim = latent_dim if m == layer_count - 1 else width
+        # [A | b | c], Fortran-ordered: eval's one product per layer reads its transpose unrepacked.
+        abc = np.empty((out_dim, in_dim + 2), order="F")
+        abc[:, :in_dim] = rng.normal((out_dim, in_dim)) * scale
+        abc[:, in_dim] = rng.normal(out_dim) * scale
+        abc[:, in_dim + 1] = rng.normal(out_dim) * scale
         weights.append({
-            "A": np.asfortranarray(rng.normal((out_dim, in_dim)) * scale),
-            "b": rng.normal(out_dim) * scale,
-            "c": rng.normal(out_dim) * scale,
+            "Abc": abc,
+            "A": abc[:, :in_dim],
+            "b": abc[:, in_dim],
+            "c": abc[:, in_dim + 1],
             "P_img": rng.normal((out_dim, cond_dim)) * scale,
             "P_p": rng.normal((out_dim, cond_dim)) * scale,
         })

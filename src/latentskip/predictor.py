@@ -241,5 +241,7 @@ class PredictorState:
             self.cache.push(step_index, out, self.hist)
             self.table = finite_differences(self.cache)
             return out
+        if self.table is None:
+            raise ValueError(f"step {step_index} is a predicted step, but no anchor has been evaluated yet")
         k = step_index - self.cache.newest_step
         return predict(self.cache, self.table, self.hist, k, self.cfg)

@@ -156,17 +156,40 @@ def test_array_holding_dataclasses_compare_by_identity(name):
     assert len({a, b, a}) == 2
 
 
-def reference_eval(model, z, t, cond):
-    """ToyModel.eval written as one expression per layer: the values eval must reproduce bitwise."""
+def _layer_inputs(model, z, cond):
     h = np.reshape(z, (-1, model.latent_dim))
-    cond2d = np.broadcast_to(cond, (h.shape[0], model.cond_dim))
+    return h, np.broadcast_to(cond, (h.shape[0], model.cond_dim))
+
+
+def reference_eval(model, z, t, cond):
+    """ToyModel.eval written as one expression per layer: the values eval must reproduce bitwise.
+
+    The layer's pre-activation is one product of the augmented input [h | 1 | t] with [A | b | c].
+    """
+    h, cond2d = _layer_inputs(model, z, cond)
     outs = []
     for w in model.weights:
-        s_img = cond2d @ w["P_img"].T
-        s_p = cond2d @ w["P_p"].T
-        h = np.tanh(h @ w["A"].T + w["b"] + t * w["c"] + reference_fuse(s_img, s_p, model.fusion_mode))
+        fused = reference_fuse(cond2d @ w["P_img"].T, cond2d @ w["P_p"].T, model.fusion_mode)
+        augmented = np.concatenate([h, np.ones((len(h), 1)), np.full((len(h), 1), t)], axis=1)
+        h = np.tanh(augmented @ w["Abc"].T + fused)
         outs.append(h)
     return outs
+
+
+def textbook_eval(model, z, t, cond):
+    """tanh(h A^T + b + t c + fused) per layer, from the separate A, b and c: equal up to rounding."""
+    h, cond2d = _layer_inputs(model, z, cond)
+    outs = []
+    for w in model.weights:
+        fused = reference_fuse(cond2d @ w["P_img"].T, cond2d @ w["P_p"].T, model.fusion_mode)
+        h = np.tanh(h @ w["A"].T + w["b"] + t * w["c"] + fused)
+        outs.append(h)
+    return outs
+
+
+def _random_inputs(seed, frames, latent_dim, cond_dim, shared):
+    rng = SeededRng(seed + 1)
+    return rng.normal((frames, latent_dim)), rng.normal(cond_dim if shared else (frames, cond_dim))
 
 
 @settings(max_examples=80, deadline=None)
@@ -175,9 +198,7 @@ def reference_eval(model, z, t, cond):
        cond_dim=st.integers(0, 9), shared=st.booleans(), t=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
 def test_eval_bitwise_equals_reference(fusion, layers, width, latent_dim, frames, cond_dim, shared, t, seed):
     model = build_model(seed, layers, width, latent_dim, cond_dim, fusion)
-    rng = SeededRng(seed + 1)
-    z = rng.normal((frames, latent_dim))
-    cond = rng.normal(cond_dim if shared else (frames, cond_dim))
+    z, cond = _random_inputs(seed, frames, latent_dim, cond_dim, shared)
     inputs = [z, cond] + [a for w in model.weights for a in w.values()]
     before = [a.copy() for a in inputs]
     got = model.eval(z, t, cond).per_layer
@@ -189,12 +210,48 @@ def test_eval_bitwise_equals_reference(fusion, layers, width, latent_dim, frames
     assert all(np.array_equal(a, b) for a, b in zip(inputs, before))  # nothing the caller owns is written
 
 
+@settings(max_examples=60, deadline=None)
+@given(fusion=st.sampled_from(FUSION_MODES), layers=st.integers(2, 5), width=st.integers(2, 130),
+       latent_dim=st.integers(1, 64), frames=st.integers(1, 17),
+       cond_dim=st.integers(0, 9), shared=st.booleans(), t=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
+def test_eval_within_rounding_of_textbook(fusion, layers, width, latent_dim, frames, cond_dim, shared, t, seed):
+    # Folding b and t c into the product moves only the rounding of every layer.
+    model = build_model(seed, layers, width, latent_dim, cond_dim, fusion)
+    z, cond = _random_inputs(seed, frames, latent_dim, cond_dim, shared)
+    got, ref = model.eval(z, t, cond).per_layer, textbook_eval(model, z, t, cond)
+    assert len(got) == len(ref) == layers
+    for g, r in zip(got, ref):
+        assert np.max(np.abs(g - r)) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [{}, {"layer_count": 2, "width": 2, "latent_dim": 3, "cond_dim": 0},
+                                   {"layer_count": 16, "width": 128}])
+def test_eval_returns_fresh_memory(shape):
+    # AnchorCache keeps an anchor's outputs as its difference table's row 0, so no later eval may
+    # write into them: every call's outputs are new memory, and no two layers of one call overlap.
+    model = build_model(0, **shape)
+    z, cond = _random_inputs(0, 3, model.latent_dim, model.cond_dim, False)
+    conditioning = model.condition(cond, 3)
+    first, second = model.eval(z, 0.7, conditioning).per_layer, model.eval(z, 0.2, conditioning).per_layer
+    owned = [z, cond] + [a for w in model.weights for a in w.values()] + [
+        a for layer in conditioning.layers for a in (layer[0], layer[2])]
+    for out in first:
+        assert not any(np.shares_memory(out, other) for other in second + owned)
+    for outs in (first, second):
+        for i, out in enumerate(outs):
+            assert not any(np.shares_memory(out, other) for other in outs[i + 1:])
+
+
 @pytest.mark.parametrize("shape", [{}, {"layer_count": 2, "width": 2, "latent_dim": 3, "cond_dim": 0},
                                    {"layer_count": 16, "width": 128}])
 def test_weights_a_are_stored_in_the_layout_eval_reads(shape):
-    # eval multiplies by A.T: stored Fortran-ordered, A.T is C-contiguous, and BLAS reads it unrepacked.
+    # eval multiplies by Abc.T: stored Fortran-ordered, Abc.T is C-contiguous, and BLAS reads it unrepacked.
     for w in build_model(0, **shape).weights:
+        assert w["Abc"].flags.f_contiguous and w["Abc"].T.flags.c_contiguous
         assert w["A"].flags.f_contiguous and w["A"].T.flags.c_contiguous
+        # A, b and c are views of the block eval reads, so no reader sees stale weights.
+        assert all(np.shares_memory(w[key], w["Abc"]) for key in ("A", "b", "c"))
+        assert np.array_equal(w["Abc"], np.column_stack([w["A"], w["b"], w["c"]]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -203,11 +260,14 @@ def test_weights_a_are_stored_in_the_layout_eval_reads(shape):
        cond_dim=st.integers(0, 9), shared=st.booleans(), t=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
 def test_weight_layout_changes_only_rounding(fusion, layers, width, latent_dim, frames, cond_dim, shared, t, seed):
     model = build_model(seed, layers, width, latent_dim, cond_dim, fusion)
-    c_ordered = dataclasses.replace(model, weights=[{**w, "A": np.ascontiguousarray(w["A"])}
+    # eval reads only the block, so the variant swaps in a C-ordered copy of the block itself.
+    c_ordered = dataclasses.replace(model, weights=[{**w, "Abc": np.array(w["Abc"], order="C")}
                                                     for w in model.weights])
-    rng = SeededRng(seed + 1)
-    z = rng.normal((frames, latent_dim))
-    cond = rng.normal(cond_dim if shared else (frames, cond_dim))
+    for w, v in zip(model.weights, c_ordered.weights):
+        # A one-row block (latent_dim 1, last layer) is both C- and F-contiguous; hidden blocks never are.
+        assert v["Abc"].flags.c_contiguous and (v["Abc"].shape[0] == 1 or not v["Abc"].flags.f_contiguous)
+        assert np.array_equal(v["Abc"], w["Abc"]) and not np.shares_memory(v["Abc"], w["Abc"])
+    z, cond = _random_inputs(seed, frames, latent_dim, cond_dim, shared)
     got, ref = model.eval(z, t, cond).per_layer, c_ordered.eval(z, t, cond).per_layer
     assert len(got) == len(ref) == layers
     for g, r in zip(got, ref):

@@ -425,6 +425,15 @@ class TestPredict:
             cfg.anchor_spacing = 0
         assert cfg.anchor_spacing == 5
 
+    @pytest.mark.parametrize("step_index", [3, 1, 4])
+    def test_predicted_step_before_any_anchor_rejected(self, step_index):
+        # A stream whose first step is not an anchor has nothing to extrapolate from.
+        state = PredictorState(PredictorConfig(5, 3))
+        message = f"step {step_index} is a predicted step, but no anchor has been evaluated yet"
+        with pytest.raises(ValueError, match=message):
+            state.step(build_model(0), np.zeros((2, 64)), 0.5, np.zeros(8), step_index)
+        assert state.evals == 0 and not len(state.cache)
+
 
 class TestAnchorSchedule:
     def test_every_spacing_steps(self):
