@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SeededRng, check_kinds, mean, require_finite
+from .core import FeatureStats, SeededRng, check_kinds, mean, require_finite
 from .norm_fusion import FUSION_MODES, image_moments, normalize_portrait
 # Bound under this name because perfbench/tracer.py times fusion by wrapping flow_model.fuse_streams.
-from .norm_fusion import fuse_normalized as fuse_streams
+# The kernel runs unchecked: Conditioning checked its streams and moments once, when built.
+from .norm_fusion import fuse_kernel as fuse_streams
 
 
 @dataclass(eq=False)
@@ -74,16 +75,43 @@ class Conditioning:
     portrait stream), the streams of shape (frames, layer_width). No step
     changes either stream, so both streams' moments are taken once per
     window, and ``ToyModel.eval`` runs only the scale, shift and add of the
-    fusion at every step. ``model`` is the model that built it; ``eval``
-    rejects a conditioning any other model built.
+    fusion (``fuse_kernel``, unchecked) at every step. Everything that
+    ``fuse_normalized`` would check at each call is checked here instead,
+    once, when the conditioning is built: one triple per layer of ``model``,
+    both streams float64 of shape (frames, layer_width), and the image
+    moments present exactly for the fusion modes that read them. ``model``
+    is the model that built it; ``eval`` rejects a conditioning any other
+    model built.
     """
 
     frames: int
     layers: tuple
     model: ToyModel = field(repr=False)
 
+    def __post_init__(self):
+        mode = self.model.fusion_mode
+        if mode not in FUSION_MODES:
+            raise ValueError(f"unknown fusion mode {mode!r}")
+        if len(self.layers) != self.model.layer_count:
+            raise ValueError(f"conditioning has {len(self.layers)} layers, "
+                             f"the model has {self.model.layer_count}")
+        reads_moments = mode in ("ours", "centralization")
+        for m, (w, layer) in enumerate(zip(self.model.weights, self.layers)):
+            if len(layer) != 3:
+                raise ValueError(f"layer {m} holds {len(layer)} items, not (image stream, moments, portrait stream)")
+            s_img, si, p = layer
+            shape = (self.frames, w["Abc"].shape[0])
+            for name, stream in (("image", s_img), ("portrait", p)):
+                if not (isinstance(stream, np.ndarray) and stream.dtype == np.float64
+                        and stream.shape == shape):
+                    raise ValueError(f"layer {m}'s {name} stream must be a float64 array of shape "
+                                     f"{shape}, got {type(stream).__name__} of shape {np.shape(stream)}")
+            if not (isinstance(si, FeatureStats) if reads_moments else si is None):
+                need = "needs the image stream's moments" if reads_moments else "reads no image moments"
+                raise ValueError(f"layer {m}: fusion mode {mode!r} {need}, got {si!r}")
 
-@dataclass(eq=False)
+
+@dataclass(frozen=True, eq=False)
 class ToyModel:
     """Deterministic layered denoiser surrogate.
 
@@ -98,6 +126,9 @@ class ToyModel:
     Each layer stores A_m, b_m and c_m side by side in one Fortran-ordered
     block ``Abc`` = [A | b | c] of shape (out, in + 2), so ``eval`` takes
     A_m h + b_m + t*c_m as one product of [h | 1 | t] with ``Abc``.
+    The fields are frozen: a ``Conditioning`` is checked against its model
+    once, when built, so the model's fusion mode and layers must not change
+    under it.
     """
 
     layer_count: int
@@ -108,7 +139,12 @@ class ToyModel:
     weights: list = field(default_factory=list)  # per layer: dict(Abc, its views A, b, c, P_img, P_p)
 
     def eval(self, z: np.ndarray, t: float, cond) -> LayerOutputs:
-        """Every layer's output at ``t``; ``cond`` is a raw cond or this model's ``Conditioning`` of it."""
+        """Every layer's output at ``t``; ``cond`` is a raw cond or this model's ``Conditioning`` of it.
+
+        A non-finite ``t`` is a ValueError: it would make every output NaN.
+        """
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t}")
         z = np.asarray(z, dtype=np.float64)
         if z.ndim == 0 or math.prod(z.shape[1:]) != self.latent_dim:
             raise ValueError(f"latent of shape {z.shape} incompatible with frame width {self.latent_dim}: "
@@ -239,13 +275,22 @@ def _finite_loss(name: str, loss: float) -> float:
 
 def euler_step(z: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
     """Advance the latent from t to t-dt with constant velocity v; a float64 overflow is a ValueError."""
-    if z.shape != v.shape:
-        raise ValueError("shape mismatch")
     if not 0 < dt < math.inf:  # NaN compares False, so it is rejected too
         raise ValueError(f"dt must be finite and positive, got {dt}")
     try:
         with np.errstate(over="raise"):
-            return z - dt * v
+            return euler_kernel(z, v, dt)
     except FloatingPointError:
         raise ValueError("euler_step overflows float64 on these inputs") from None
 
+
+def euler_kernel(z: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
+    """``z - dt * v`` for a ``dt`` the caller has checked, under the caller's floating-point state.
+
+    Only the shapes are checked. An overflow follows ``np.errstate``: the
+    sampler loop lets it become inf and reports the non-finite latent once,
+    at the end; ``euler_step`` raises it as a ValueError.
+    """
+    if z.shape != v.shape:
+        raise ValueError("shape mismatch")
+    return z - dt * v

@@ -8,8 +8,9 @@ stream by its own moments, ``image_moments`` takes the image stream's
 moments, and ``fuse_normalized`` aligns the normalized portrait stream to
 those moments and adds the image stream. No denoising step changes either
 stream, so the model takes both streams' moments once per window and runs
-only the scale, shift and add of ``fuse_normalized`` at every layer of every
-step. The other modes are the ablation baselines.
+only the scale, shift and add (``fuse_kernel``, ``fuse_normalized`` without
+its checks) at every layer of every step. The other modes are the ablation
+baselines.
 """
 
 from __future__ import annotations
@@ -63,17 +64,31 @@ def fuse_normalized(z_img: np.ndarray, si: FeatureStats | None, p: np.ndarray,
     mode "pure-norm": p + z_img.
     mode "centralization": p + the standardized image stream.
     mode "baseline-add": plain p + z_img.
+    This is the checked entry point: it checks the mode, the shapes and that
+    ``si`` is there for the modes that read it, then runs ``fuse_kernel``. The
+    model's step loop runs the kernel alone, on streams that its
+    ``Conditioning`` checked once, when it was built.
     """
     _check_mode(mode)
     z_img = np.asarray(z_img, dtype=np.float64)
     if z_img.shape != np.shape(p):
         raise ValueError("shape mismatch")
+    if si is None and mode in ("ours", "centralization"):
+        raise ValueError(f"fusion mode {mode!r} needs the image stream's moments")
+    return fuse_kernel(z_img, si, p, mode)
+
+
+def fuse_kernel(z_img: np.ndarray, si: FeatureStats | None, p: np.ndarray, mode: str) -> np.ndarray:
+    """The scale, shift and add of ``fuse_normalized``, with none of its checks.
+
+    The caller guarantees what ``fuse_normalized`` checks: a known mode,
+    float64 streams of one shape, and ``si`` present for "ours" and
+    "centralization". A stream of another shape would broadcast silently.
+    """
     # Each result is one fresh array updated in place, in the order of the
     # expression it stands for, so it is bitwise equal to that expression.
     if mode in ("baseline-add", "pure-norm"):
         return p + z_img
-    if si is None:
-        raise ValueError(f"fusion mode {mode!r} needs the image stream's moments")
     if mode == "ours":  # (z_p - mean_p) / std_p * std_img + mean_img + z_img
         out = p * si.std
         out += si.mean

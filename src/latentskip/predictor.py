@@ -95,7 +95,10 @@ class AnchorCache:
                 new.append(self.rows[l][i - 1] - new[i - 1])
             rows.append(new)
         if hist is not None and self.rows:
-            hist.record(float(np.linalg.norm(rows[-1][0] - self.rows[-1][0])) / self.spacing)
+            # The final layer's order-1 row is old - new, the exact negation of new - old, so its
+            # norm is bitwise the same; without that row (capacity 1) the difference is taken here.
+            change = rows[-1][1] if orders else rows[-1][0] - self.rows[-1][0]
+            hist.record(float(np.linalg.norm(change)) / self.spacing)
         self.rows = rows
         self.shape, self.newest_step = outputs.shape, step
 
@@ -107,6 +110,9 @@ class DiffTable:
     per_layer: list  # per_layer[l][i] = i-th difference at layer l
     # order -> every layer's layer_weight, filled on the order's first query
     weights: dict = field(default_factory=dict, init=False, repr=False)
+    # (alpha, sigma count) -> scale_s, filled by predict's first query: a history only grows, by one
+    # sigma per anchor push, and every anchor builds a new table, so s is taken once per anchor
+    scales: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def max_order(self) -> int:
@@ -192,6 +198,10 @@ def predict(cache: AnchorCache, table: DiffTable, hist: SigmaHistory,
     stay neutral while the cache is still warming up. Every layer's scalar
     terms are computed here; the final layer, the one the sampler reads, is
     built here too, and the others on their first read (``PredictedLayers``).
+    The variation-rate corrector s changes only at an anchor, so it is taken
+    once per difference table (stored in ``table.scales``), and each order's
+    i! * K^i once per call; ``layer_weight`` is still looked up once per
+    (layer, order).
     """
     if not 1 <= k <= cfg.anchor_spacing - 1:
         raise ValueError(f"k must lie in [1, {cfg.anchor_spacing - 1}]")
@@ -200,15 +210,16 @@ def predict(cache: AnchorCache, table: DiffTable, hist: SigmaHistory,
     m = min(cfg.max_order, len(cache) - 1)
     warmed = len(cache) >= cfg.max_order + 1 and bool(hist.sigmas)
     use_dynamics = cfg.dynamics_enabled and warmed
-    s = scale_s(hist, cfg.alpha) if use_dynamics else 1.0
-    spacing = cfg.anchor_spacing
-    terms = []
-    for l in range(len(table.per_layer)):
-        row = []
-        for i in range(1, m + 1):
-            w = layer_weight(table, l, i) if use_dynamics else 1.0
-            row.append(((-k) ** i, math.factorial(i) * spacing ** i * w * s))
-        terms.append(row)
+    s = 1.0
+    if use_dynamics:
+        key = (cfg.alpha, len(hist.sigmas))
+        s = table.scales.get(key)
+        if s is None:
+            s = table.scales[key] = scale_s(hist, cfg.alpha)
+    orders = [((-k) ** i, math.factorial(i) * cfg.anchor_spacing ** i) for i in range(1, m + 1)]
+    terms = [[(num, den * (layer_weight(table, l, i) if use_dynamics else 1.0) * s)
+              for i, (num, den) in enumerate(orders, start=1)]
+             for l in range(len(table.per_layer))]
     layers = PredictedLayers(table.per_layer, terms)
     layers[-1]  # built now: run_long reads only the final layer, right after this returns
     return LayerOutputs(layers, cache.shape)

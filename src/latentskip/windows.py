@@ -16,7 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import check_kinds, require_finite
-from .flow_model import SamplerConfig, euler_step
+from .flow_model import SamplerConfig
+# Bound under this name because perfbench/tracer.py times the Euler step by wrapping windows.euler_step.
+# The kernel runs unguarded inside run_long's loop-wide errstate; dt comes from SamplerConfig.timesteps().
+from .flow_model import euler_kernel as euler_step
 from .predictor import PredictorConfig, PredictorState
 
 
@@ -98,9 +101,13 @@ def run_long(model, z_T_full: np.ndarray, cond_full, plan: WindowPlan,
     other model gets the cond itself. Returns (trajectory, evals_per_window).
     NaN or inf in either input, a latent with no frames, or a 2-D cond without
     one row per frame is a ValueError, raised before any evaluation, as is
-    any error ``condition`` raises. A trajectory that turns NaN or inf is a
-    ValueError naming its first non-finite latent, with no RuntimeWarning
-    on the way.
+    any error ``condition`` raises. A trajectory that turns NaN or inf, from
+    an evaluation, an extrapolation or an Euler step that overflows float64,
+    is a ValueError naming its first non-finite latent, with no
+    RuntimeWarning on the way: the loop runs under one ``np.errstate``, its
+    Euler steps are the unguarded kernel (``dt`` comes from
+    ``sampler_cfg.timesteps()``), and the latents are checked once, at the
+    end.
     """
     z = np.array(z_T_full, dtype=np.float64)
     if latent_frames(z) != plan.total:
@@ -118,12 +125,12 @@ def run_long(model, z_T_full: np.ndarray, cond_full, plan: WindowPlan,
     v = plan.overlap
     weights = blend_weights(v) if len(plan.spans) > 1 else None
     trajectory = [z]
-    # A NaN or inf from an evaluation or an extrapolation is the ValueError below, not a
-    # RuntimeWarning on the way; euler_step still raises on an overflow of its own.
+    # A NaN or inf from an evaluation, an extrapolation or an Euler step that overflows is the
+    # ValueError below, not a RuntimeWarning on the way.
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(sampler_cfg.steps):
             t, dt = float(ts[j]), float(ts[j] - ts[j + 1])
-            new_z = z.copy()
+            new_z = np.empty_like(z)  # the spans cover every frame
             prev_tail = None
             for wi, ((s, e), cond) in enumerate(zip(plan.spans, conds)):
                 zi = z[s:e]
@@ -141,7 +148,7 @@ def run_long(model, z_T_full: np.ndarray, cond_full, plan: WindowPlan,
     if not np.isfinite(z).all():
         bad = next(i for i, zi in enumerate(trajectory) if not np.isfinite(zi).all())
         raise ValueError(f"trajectory latent {bad} is not finite: "
-                         "an evaluation or an extrapolation gave NaN or inf")
+                         "an evaluation, an extrapolation or an Euler step gave NaN or inf")
     evals = [sampler_cfg.steps] * len(plan.spans) if states is None else [st.evals for st in states]
     return trajectory, evals
 

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from latentskip import flow_model
 from latentskip.core import SeededRng, stats
-from latentskip.flow_model import (FUSION_MODES, LayerOutputs, MaskPair, SamplerConfig, build_model,
-                                   euler_step, forward_diffuse, masked_recon_loss, velocity_loss)
+from latentskip.flow_model import (FUSION_MODES, Conditioning, LayerOutputs, MaskPair, SamplerConfig,
+                                   ToyModel, build_model, euler_kernel, euler_step, forward_diffuse,
+                                   masked_recon_loss, velocity_loss)
 from latentskip.predictor import DiffTable
 from latentskip.windows import sample_full
 from test_norm_fusion import reference_fuse
@@ -130,11 +131,94 @@ class TestToyModel:
         with pytest.raises(ValueError, match=re.escape(message)):
             m.eval(np.zeros((2, 64)), 0.5, conditioning)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_t_rejected(self, t):
+        # A NaN t would make every output NaN, silently.
+        with pytest.raises(ValueError, match=re.escape(f"t must be finite, got {t}")):
+            build_model(0).eval(np.zeros((2, 8, 8)), t, np.zeros(8))
+
     def test_invalid_dims_rejected(self):
         with pytest.raises(ValueError):
             build_model(0, layer_count=1)
         with pytest.raises(ValueError):
             build_model(0, width=1)
+
+
+def _rebuilt(conditioning, layers=None, model=None):
+    """A hand-built Conditioning: ``conditioning`` with its layers or its model replaced."""
+    return Conditioning(conditioning.frames, conditioning.layers if layers is None else tuple(layers),
+                        conditioning.model if model is None else model)
+
+
+def _with_layer(conditioning, m, **changes):
+    """``conditioning``'s layers with some items of layer m's triple replaced."""
+    layers = list(conditioning.layers)
+    s_img, si, p = layers[m]
+    layers[m] = (changes.get("s_img", s_img), changes.get("si", si), changes.get("p", p))
+    return layers
+
+
+class TestConditioningChecks:
+    # eval runs the fusion kernel, which checks nothing: a (1, width) stream would broadcast silently
+    # over the frames, and absent moments would fail deep in the arithmetic. A Conditioning is checked
+    # once, when built, by hand as much as by ToyModel.condition.
+    @pytest.mark.parametrize("fusion", FUSION_MODES)
+    def test_built_by_condition_passes_and_rebuilds(self, fusion):
+        conditioning = small_model(fusion_mode=fusion).condition(SeededRng(1).normal((3, 4)), 3)
+        assert _rebuilt(conditioning).layers == conditioning.layers
+
+    @pytest.mark.parametrize("stream", ["s_img", "p"])
+    @pytest.mark.parametrize("bad", [lambda a: a[:1], lambda a: a[:, :-1], lambda a: a.T, lambda a: a[0],
+                                     lambda a: a.astype(np.float32), lambda a: a.tolist()],
+                             ids=["one-frame", "narrow", "transposed", "1-d", "float32", "list"])
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_wrong_stream_rejected(self, stream, bad, m):
+        conditioning = small_model(fusion_mode="ours").condition(SeededRng(1).normal((3, 4)), 3)
+        s_img, _, p = conditioning.layers[m]
+        name, good = ("image", s_img) if stream == "s_img" else ("portrait", p)
+        layers = _with_layer(conditioning, m, **{stream: bad(good)})
+        with pytest.raises(ValueError, match=re.escape(f"layer {m}'s {name} stream must be a float64 array")):
+            _rebuilt(conditioning, layers)
+
+    @pytest.mark.parametrize("count", [3, 5, 0])
+    def test_one_triple_per_layer(self, count):
+        conditioning = small_model().condition(np.zeros(4), 2)
+        layers = (conditioning.layers * 2)[:count]
+        with pytest.raises(ValueError, match=f"conditioning has {count} layers, the model has 4"):
+            _rebuilt(conditioning, layers)
+
+    def test_layer_must_be_a_triple(self):
+        conditioning = small_model().condition(np.zeros(4), 2)
+        layers = list(conditioning.layers)
+        layers[1] = layers[1][:2]
+        with pytest.raises(ValueError, match="layer 1 holds 2 items"):
+            _rebuilt(conditioning, layers)
+
+    @pytest.mark.parametrize("fusion", ["ours", "centralization"])
+    def test_missing_moments_rejected(self, fusion):
+        conditioning = small_model(fusion_mode=fusion).condition(np.ones(4), 2)
+        for si in (None, (0.0, 1.0)):
+            with pytest.raises(ValueError, match=f"layer 2: fusion mode '{fusion}' needs the image stream's moments"):
+                _rebuilt(conditioning, _with_layer(conditioning, 2, si=si))
+
+    @pytest.mark.parametrize("fusion", ["pure-norm", "baseline-add"])
+    def test_extra_moments_rejected(self, fusion):
+        # Moments no fusion reads: an "ours" model's conditioning handed to a model of this mode.
+        ours = small_model(fusion_mode="ours").condition(np.ones(4), 2)
+        with pytest.raises(ValueError, match=f"layer 0: fusion mode '{fusion}' reads no image moments"):
+            _rebuilt(ours, model=small_model(fusion_mode=fusion))
+
+    def test_unknown_mode_rejected(self):
+        model = small_model()
+        odd = ToyModel(model.layer_count, model.width, model.latent_dim, model.cond_dim, "nope", model.weights)
+        with pytest.raises(ValueError, match="unknown fusion mode 'nope'"):
+            _rebuilt(model.condition(np.ones(4), 2), model=odd)
+
+    def test_model_fields_cannot_change_under_a_conditioning(self):
+        # A conditioning checked for "baseline-add" holds no moments for an "ours" fusion to read.
+        model = small_model()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.fusion_mode = "ours"
 
 
 MODEL = small_model()
@@ -427,6 +511,12 @@ class TestEulerAndSampler:
         # Finite inputs whose step exceeds float64: a ValueError, not inf and a RuntimeWarning.
         with pytest.raises(ValueError, match="euler_step overflows float64"):
             euler_step(np.array([z]), np.array([v]), dt)
+
+    @pytest.mark.parametrize("step", [euler_step, euler_kernel])
+    def test_shape_mismatch_rejected(self, step):
+        # The kernel the sampler loop runs keeps the shape check, so v never broadcasts over z.
+        with pytest.raises(ValueError, match="shape mismatch"):
+            step(np.zeros((2, 4)), np.ones(4), 0.5)
 
     def test_step_composition_on_constant_field(self):
         z, v = SeededRng(1).normal(4), SeededRng(2).normal(4)

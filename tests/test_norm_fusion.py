@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from latentskip.core import EPS, SeededRng, stats
-from latentskip.norm_fusion import (FUSION_MODES, fuse_normalized, image_moments, normalize_fuse,
-                                    normalize_portrait)
+from latentskip.norm_fusion import (FUSION_MODES, fuse_kernel, fuse_normalized, image_moments,
+                                    normalize_fuse, normalize_portrait)
 
 
 def reference_fuse(z_img, z_p, mode):
@@ -135,5 +135,7 @@ def test_fuse_bitwise_equals_reference(streams, mode):
     si, p = image_moments(z_img, mode), normalize_portrait(z_p, mode)
     p_before = p.copy()
     assert np.array_equal(fuse_normalized(z_img, si, p, mode), reference)
+    # The model's step loop runs the kernel alone, on streams its Conditioning checked once.
+    assert np.array_equal(fuse_kernel(z_img, si, p, mode), reference)
     assert np.array_equal(p, p_before)  # reused at the next step, so never written to
     assert np.array_equal(z_img, before[0]) and np.array_equal(z_p, before[1])  # inputs not written to

@@ -181,7 +181,8 @@ class TestFiniteDifferences:
                                                              elements=values)) for l in range(layers)], (final,)))
             cache.push(p * delta, history[0], hist)
             assert len(cache) == min(p + 1, capacity) and cache.shape == (final,)
-            # sigma comes from the table's final-layer row 0, bitwise equal to the anchors' outputs
+            # sigma is the norm of the final layer's order-1 row (old - new; at capacity 1, new - old
+            # itself), bitwise equal to the norm of the anchors' outputs' difference
             assert hist.sigmas == [float(np.linalg.norm(new.final - old.final)) / spacing
                                    for new, old in zip(history[-2::-1], history[::-1])]
             expected = [difference_rows([outputs.per_layer[l] for outputs in history[:capacity]])
@@ -347,6 +348,23 @@ class TestPredict:
             calls.clear()
             predict(cache, table, hist, k, cfg)
             assert calls == [(l, i) for l in range(layers) for i in range(1, max_order + 1)]
+
+    def test_scale_s_taken_once_per_anchor(self, monkeypatch):
+        # The sigma history changes only when an anchor is pushed, so each difference table takes s
+        # once. K=5, n=1: warmed from the second anchor (step 5), whose table and the next two's
+        # each lead 4 predicted steps; the history then holds 1, 2 and 3 sigmas.
+        original, seen = pred_mod.scale_s, []
+
+        def counting(hist, alpha):
+            seen.append(len(hist.sigmas))
+            return original(hist, alpha)
+
+        monkeypatch.setattr(pred_mod, "scale_s", counting)
+        state = PredictorState(PredictorConfig(5, 1))
+        model = ListModel([scalar_outputs(v) for v in (1.0, 2.0, 4.0, 7.0)])
+        for j in range(20):
+            state.step(model, None, 0.0, None, j)
+        assert seen == [1, 2, 3]
 
     @settings(max_examples=200, deadline=None)
     @given(table=diff_tables(), data=st.data())

@@ -111,6 +111,11 @@ SAMPLER_COUNTS = {
 }
 
 
+# The sampler request's phase spans: Euler step, fusion, anchor push, predict and window blend.
+LOOP_SPANS = ("flow_model.euler_step.ms", "norm_fusion.fuse.ms", "predictor.push.ms",
+              "predictor.predict.self_ms", "windows.blend_overlap.ms")
+
+
 def test_benchmark_observers_read_live_parameters(monkeypatch, tmp_path):
     # The observers read parameters by name: predict's cache/hist/cfg, PredictorState.step's
     # model/z/t/cond, run_long's predictor_cfg and dump_trajectory's path. Renaming one makes
@@ -140,6 +145,10 @@ def test_benchmark_observers_read_live_parameters(monkeypatch, tmp_path):
     assert not absent, f"per-layer metrics absent: {absent}"
     # perfbench/test_smoke.py pins these count laws, but tier-1 does not run it.
     assert {name: sampler_metrics[name] for name in SAMPLER_COUNTS} == SAMPLER_COUNTS
+    # A hook on a name the loop no longer calls (windows.euler_step, flow_model.fuse_streams rebound
+    # to a function the loop does not reach) reads 0, not absent: each timed phase must have run.
+    idle = [name for name in LOOP_SPANS if not sampler_metrics[name] > 0]
+    assert not idle, f"spans that timed nothing on the sampler request: {idle}"
 
 
 @pytest.mark.parametrize("shape", [{}, {"layer_count": 2, "width": 2, "latent_dim": 3, "cond_dim": 0},

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from latentskip import norm_fusion, predictor
 from latentskip.core import SeededRng
-from latentskip.flow_model import FUSION_MODES, SamplerConfig, build_model, euler_step
+from latentskip.flow_model import FUSION_MODES, LayerOutputs, SamplerConfig, build_model, euler_step
 from latentskip.predictor import PredictorConfig
 from latentskip.windows import (WindowPlan, blend_overlap, blend_weights, plan_windows, run_long,
                                 sample_accelerated, sample_full)
@@ -423,3 +423,24 @@ def test_overflowing_extrapolation_raises():
     assert np.isfinite(oracle[-1]).all()
     with pytest.raises(ValueError, match="not finite"):  # and no RuntimeWarning, which pytest makes an error
         sample_accelerated(model, z, cond, cfg, PredictorConfig(5, 3, dynamics_enabled=False))
+
+
+class ConstantVelocityModel:
+    """Returns the same finite velocity at every step, so only an Euler step can overflow."""
+
+    def __init__(self, velocity):
+        self.velocity = velocity
+
+    def eval(self, z, t, cond):
+        return LayerOutputs([np.full(z.shape, self.velocity)], z.shape)
+
+
+@pytest.mark.parametrize("pcfg", [None, PredictorConfig(2, 1)], ids=["oracle", "accelerated"])
+def test_overflowing_euler_step_raises(pcfg):
+    # z rises by 0.25e308 a step from 1e308: latent 3 is 1.75e308, latent 4 overflows float64. Step 3
+    # is a predicted one on the accelerated path. The loop's Euler kernel lets the overflow become inf,
+    # and the final check reports it, with no RuntimeWarning (pytest makes one an error) on the way.
+    z, cfg = np.full((3, 2), 1e308), SamplerConfig(steps=4)
+    with pytest.raises(ValueError, match=re.escape("trajectory latent 4 is not finite: an evaluation, "
+                                                   "an extrapolation or an Euler step gave NaN or inf")):
+        run_long(ConstantVelocityModel(-1e308), z, np.zeros(4), plan_windows(3, 3, 0), cfg, pcfg)
