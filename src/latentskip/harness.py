@@ -26,7 +26,7 @@ from .windows import WindowPlan, run_long
 CSV_HEADER = ["mode", "K", "n", "alpha", "T", "L", "l", "v",
               "evals", "predicted", "wall_ms", "rel_err_final", "rel_err_mean"]
 
-TRAJECTORY_SCHEMA_VERSION = 2
+TRAJECTORY_SCHEMA_VERSION = 3
 
 
 class TrajectoryFormatError(ValueError):
@@ -211,23 +211,54 @@ def reports_to_csv(reports: list[MetricsReport]) -> str:
 
 
 def dump_trajectory(trajectory: list, path: str):
-    """Write latents as version 2 JSON: ``{"version": 2, "tensors": [{"shape", "data"}]}``.
+    """Write latents as version 3: one JSON header line, then every tensor's raw bytes.
 
-    Each ``data`` is the padded standard base64 (RFC 4648) of the tensor's
-    little-endian float64 bytes in C order, so every bit pattern, NaN
-    payloads included, round-trips, and equal latents give byte-identical
-    files.
+    The header is ``{"version": 3, "shapes": [[...], ...]}`` and a newline.
+    The little-endian float64 bytes of each tensor follow in C order,
+    concatenated, with nothing after them. Every bit pattern, NaN payloads
+    included, round-trips, and equal latents give byte-identical files.
     """
-    tensors = []
-    for z in trajectory:
-        z = np.asarray(z, dtype="<f8")
-        tensors.append({"shape": list(z.shape), "data": base64.b64encode(z.tobytes()).decode("ascii")})
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"version": TRAJECTORY_SCHEMA_VERSION, "tensors": tensors}))
+    tensors = [np.asarray(z, dtype="<f8") for z in trajectory]
+    header = json.dumps({"version": TRAJECTORY_SCHEMA_VERSION, "shapes": [list(z.shape) for z in tensors]})
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\n")
+        for z in tensors:
+            fh.write(z.tobytes())
+
+
+def _parse_json(content: bytes):
+    try:
+        return json.loads(content.decode("utf-8"))
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
+        raise TrajectoryFormatError(f"malformed trajectory file: {exc}") from exc
+
+
+def _reshape(flat: np.ndarray, shape: list) -> np.ndarray:
+    try:
+        return flat.reshape(shape)
+    except ValueError as exc:  # a zero-size shape with a dimension beyond NumPy's limits
+        raise TrajectoryFormatError(f"bad shape {shape}: {exc}") from exc
+
+
+def _decode_version_3(shapes, content: bytes, offset: int) -> list:
+    """Split the payload at ``offset`` into one fresh float64 array per shape, after checking its size."""
+    if type(shapes) is not list or not all(
+            type(shape) is list and all(type(d) is int and d >= 0 for d in shape) for shape in shapes):
+        raise TrajectoryFormatError("shapes must be a list of lists of integers >= 0")
+    counts = [math.prod(shape) for shape in shapes]
+    size = len(content) - offset
+    if size != 8 * sum(counts):
+        raise TrajectoryFormatError(f"{size} payload bytes for {sum(counts)} values, expected {8 * sum(counts)}")
+    flat = np.frombuffer(content, dtype="<f8", offset=offset).astype(np.float64)
+    tensors, start = [], 0
+    for shape, count in zip(shapes, counts):
+        tensors.append(_reshape(flat[start:start + count], shape))
+        start += count
+    return tensors
 
 
 def _decode_tensor(record, version: int) -> np.ndarray:
-    """One tensor record as a fresh, writable, C-contiguous float64 array."""
+    """One version 1 or 2 tensor record as a fresh, writable, C-contiguous float64 array."""
     if type(record) is not dict or "shape" not in record or "data" not in record:
         raise TrajectoryFormatError("tensor record must be an object with shape and data")
     shape, data = record["shape"], record["data"]
@@ -240,7 +271,7 @@ def _decode_tensor(record, version: int) -> np.ndarray:
         if len(data) != count:
             raise TrajectoryFormatError(f"{len(data)} values for shape {shape}")
         try:
-            return np.array(data, dtype=np.float64).reshape(shape)
+            return _reshape(np.array(data, dtype=np.float64), shape)
         except OverflowError as exc:
             raise TrajectoryFormatError(f"bad tensor value: {exc}") from exc
     if type(data) is not str:
@@ -251,26 +282,41 @@ def _decode_tensor(record, version: int) -> np.ndarray:
         raise TrajectoryFormatError(f"bad base64 data: {exc}") from exc
     if len(raw) != 8 * count:
         raise TrajectoryFormatError(f"{len(raw)} bytes for shape {shape}, expected {8 * count}")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    return _reshape(np.frombuffer(raw, dtype="<f8").astype(np.float64), shape)
 
 
 def load_trajectory(path: str) -> list:
-    """Read a file written by ``dump_trajectory``: version 2, or version 1's decimal lists.
+    """Read a file written by ``dump_trajectory``: version 3, or the JSON of versions 1 and 2.
 
-    Returns fresh, writable, C-contiguous float64 arrays. A malformed file or
-    tensor record (shape not a list of integers >= 0, element count not
-    ``prod(shape)``) is a ``TrajectoryFormatError``; any version other than
-    1 or 2 is a ``TrajectoryVersionError``.
+    A file whose first line is a JSON object with ``"version": 3`` is read as
+    version 3: its ``shapes`` must be a list of lists of integers >= 0, and
+    the payload after the newline exactly 8 bytes per value, checked before
+    anything is allocated. Any other file is read as one JSON document of
+    version 1 (decimal lists) or 2 (base64 records), whose tensor records
+    need a shape of integers >= 0 and ``prod(shape)`` values. Returns fresh,
+    writable, C-contiguous float64 arrays. A malformed file is a
+    ``TrajectoryFormatError``; a JSON document of a version other than 1 or
+    2 is a ``TrajectoryVersionError``.
     """
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
-            raise TrajectoryFormatError(f"malformed trajectory file: {exc}") from exc
+    with open(path, "rb") as fh:
+        content = fh.read()
+    newline = content.find(b"\n")
+    try:
+        header = _parse_json(content[:newline] if newline >= 0 else content)
+    except TrajectoryFormatError:
+        if newline < 0:  # the first line is the whole file
+            raise
+        header = None
+    if isinstance(header, dict) and header.get("version") == TRAJECTORY_SCHEMA_VERSION \
+            and type(header["version"]) is int:
+        if newline < 0:
+            raise TrajectoryFormatError("version 3 header line does not end in a newline")
+        return _decode_version_3(header.get("shapes"), content, newline + 1)
+    doc = header if newline < 0 else _parse_json(content)
     if not isinstance(doc, dict) or "version" not in doc:
         raise TrajectoryFormatError("missing version field")
     version = doc["version"]
-    if type(version) is not int or version not in (1, TRAJECTORY_SCHEMA_VERSION):
+    if type(version) is not int or version not in (1, 2):
         raise TrajectoryVersionError(f"unsupported version {version!r}")
     tensors = doc.get("tensors")
     if type(tensors) is not list:

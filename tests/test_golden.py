@@ -111,7 +111,7 @@ def compute():
 
 
 def _encode(z: np.ndarray) -> str:
-    """Base64 of the little-endian float64 bytes, as in trajectory files version 2."""
+    """Padded standard base64 (RFC 4648) of the little-endian float64 bytes in C order."""
     return base64.b64encode(np.asarray(z, dtype="<f8").tobytes()).decode("ascii")
 
 

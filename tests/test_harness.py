@@ -171,6 +171,10 @@ def b64(*values) -> str:
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
+def f8(*values) -> bytes:
+    return np.asarray(values, dtype="<f8").tobytes()
+
+
 # (version, tensor record) pairs that load_trajectory must reject as malformed.
 BAD_RECORDS = {
     "negative dim": (1, {"shape": [-1], "data": [1.0, 2.0, 3.0]}),
@@ -200,6 +204,28 @@ BAD_RECORDS = {
     "missing data": (2, {"shape": [1]}),
     "missing shape": (2, {"data": b64(1.0)}),
     "record not an object": (2, [[1], b64(1.0)]),
+    "zero-size shape beyond numpy": (1, {"shape": [0, 2**63], "data": []}),
+    "v2 zero-size shape beyond numpy": (2, {"shape": [0, 2**63], "data": ""}),
+}
+
+# Version 3 files that load_trajectory must reject as malformed: a header line, then the payload.
+BAD_V3_FILES = {
+    "header not json": b'{"version": 3, "shapes": [[1]]\n' + f8(1.0),
+    "header not an object": b'[3, [[1]]]\n' + f8(1.0),
+    "shapes missing": b'{"version": 3}\n' + f8(1.0),
+    "shapes not a list": b'{"version": 3, "shapes": {"0": [1]}}\n' + f8(1.0),
+    "shape not a list": b'{"version": 3, "shapes": [1]}\n' + f8(1.0),
+    "negative dim": b'{"version": 3, "shapes": [[-1]]}\n',
+    "negative dims, positive count": b'{"version": 3, "shapes": [[-1, -1]]}\n' + f8(1.0),
+    "bool dim": b'{"version": 3, "shapes": [[true]]}\n' + f8(1.0),
+    "float dim": b'{"version": 3, "shapes": [[1.0]]}\n' + f8(1.0),
+    "short payload": b'{"version": 3, "shapes": [[2]]}\n' + f8(1.0),
+    "one trailing byte": b'{"version": 3, "shapes": [[1]]}\n' + f8(1.0) + b"\0",
+    "partial float": b'{"version": 3, "shapes": [[1]]}\n' + bytes(7),
+    # 2**80 values: the size check must refuse it before anything is allocated.
+    "huge element count": b'{"version": 3, "shapes": [[1099511627776, 1099511627776]]}\n' + f8(1.0),
+    "zero-size shape beyond numpy": b'{"version": 3, "shapes": [[0, 9223372036854775808]]}\n',
+    "no newline after the header": b'{"version": 3, "shapes": []}',
 }
 
 
@@ -222,13 +248,29 @@ class TestTrajectoryIO:
             assert np.ascontiguousarray(a, dtype=np.float64).tobytes() == b.tobytes()
             assert_fresh_float64(b)
 
-    def test_version_2_layout(self, tmp_path):
-        path = tmp_path / "traj.json"
+    def test_version_3_layout(self, tmp_path):
+        path = tmp_path / "traj.bin"
         dump_trajectory([np.array([1.0, -2.0]), np.array([[0.5]])], path)
-        assert json.loads(path.read_text()) == {"version": 2, "tensors": [
-            {"shape": [2], "data": "AAAAAAAA8D8AAAAAAAAAwA=="},
-            {"shape": [1, 1], "data": "AAAAAAAA4D8="},
-        ]}
+        assert path.read_bytes() == (b'{"version": 3, "shapes": [[2], [1, 1]]}\n'
+                                     + bytes.fromhex("000000000000f03f" "00000000000000c0" "000000000000e03f"))
+
+    @settings(max_examples=50, deadline=None)
+    @given(traj=TENSORS)
+    def test_version_2_file_loads_bitwise(self, traj):
+        # How version 2 was written: one JSON document of base64 records.
+        doc = {"version": 2, "tensors": [
+            {"shape": list(z.shape), "data": base64.b64encode(np.asarray(z, dtype="<f8").tobytes()).decode("ascii")}
+            for z in traj]}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "v2.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            loaded = load_trajectory(path)
+        assert len(loaded) == len(traj)
+        for a, b in zip(traj, loaded):
+            assert a.shape == b.shape
+            assert np.ascontiguousarray(a, dtype=np.float64).tobytes() == b.tobytes()
+            assert_fresh_float64(b)
 
     def test_version_1_file_loads_bitwise(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -247,14 +289,21 @@ class TestTrajectoryIO:
             assert a.shape == b.shape
             assert a.tobytes() == b.tobytes()
             assert_fresh_float64(b)
-        path.write_text(json.dumps({"version": 3, "tensors": []}))
-        with pytest.raises(TrajectoryVersionError, match="unsupported version 3"):
+        path.write_text(json.dumps({"version": 4, "tensors": []}))
+        with pytest.raises(TrajectoryVersionError, match="unsupported version 4"):
             load_trajectory(path)
 
     @pytest.mark.parametrize("version, record", BAD_RECORDS.values(), ids=BAD_RECORDS.keys())
     def test_malformed_record_rejected(self, tmp_path, version, record):
         path = tmp_path / "traj.json"
         path.write_text(json.dumps({"version": version, "tensors": [record]}))
+        with pytest.raises(TrajectoryFormatError):
+            load_trajectory(path)
+
+    @pytest.mark.parametrize("content", BAD_V3_FILES.values(), ids=BAD_V3_FILES.keys())
+    def test_malformed_version_3_file_rejected(self, tmp_path, content):
+        path = tmp_path / "traj.bin"
+        path.write_bytes(content)
         with pytest.raises(TrajectoryFormatError):
             load_trajectory(path)
 
@@ -273,7 +322,7 @@ class TestTrajectoryIO:
     def test_truncated_file_is_schema_error(self, tmp_path):
         path = tmp_path / "traj.json"
         dump_trajectory([np.zeros((2, 2))], path)
-        path.write_text(path.read_text()[:-10])
+        path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(TrajectoryFormatError):
             load_trajectory(path)
 

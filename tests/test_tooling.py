@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import re
 from collections import defaultdict
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import latentskip
+from latentskip.cli import main
 from latentskip.flow_model import build_model
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -95,6 +97,17 @@ def test_every_benchmark_span_has_a_hook_target():
     dead = [name for name, targets in lookups.items()
             if not any(_hook_target(m, p) for m, p in targets)]
     assert not dead, f"spans with no plain function to wrap: {dead}"
+
+
+def test_trajectory_file_size(tmp_path, capsys):
+    # trajectory_roundtrip's request: 51 latents of 16 frames x 64 values, written as raw float64
+    # after one header line. A text-encoded payload (decimal lists, base64) would be longer.
+    path = tmp_path / "trajectory.bin"
+    assert main(["sample", "-T", "50", "-L", "16", "--out", str(path)]) == 0
+    content = path.read_bytes()
+    header = content[:content.index(b"\n") + 1]
+    assert json.loads(header) == {"version": 3, "shapes": [[16, 8, 8]] * 51}
+    assert len(content) == len(header) + 8 * 51 * 16 * 64
 
 
 # Per-layer counts of the sampler request below: 3 layers, 12 frames in windows of 8 with overlap 4
