@@ -136,7 +136,7 @@ class ToyModel:
     latent_dim: int
     cond_dim: int
     fusion_mode: str = "baseline-add"
-    weights: list = field(default_factory=list)  # per layer: dict(Abc, its views A, b, c, P_img, P_p)
+    weights: list = field(default_factory=list)  # per layer: dict(Abc, its view A, P_img, P_p)
 
     def eval(self, z: np.ndarray, t: float, cond) -> LayerOutputs:
         """Every layer's output at ``t``; ``cond`` is a raw cond or this model's ``Conditioning`` of it.
@@ -228,8 +228,6 @@ def build_model(seed: int, layer_count: int = 4, width: int = 32,
         weights.append({
             "Abc": abc,
             "A": abc[:, :in_dim],
-            "b": abc[:, in_dim],
-            "c": abc[:, in_dim + 1],
             "P_img": rng.normal((out_dim, cond_dim)) * scale,
             "P_p": rng.normal((out_dim, cond_dim)) * scale,
         })

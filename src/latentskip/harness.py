@@ -7,7 +7,6 @@ evaluation counts and relative-L2 errors against the oracle trajectory.
 
 from __future__ import annotations
 
-import base64
 import csv
 import io
 import itertools
@@ -226,99 +225,46 @@ def dump_trajectory(trajectory: list, path: str):
             fh.write(z.tobytes())
 
 
-def _parse_json(content: bytes):
-    try:
-        return json.loads(content.decode("utf-8"))
-    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
-        raise TrajectoryFormatError(f"malformed trajectory file: {exc}") from exc
-
-
-def _reshape(flat: np.ndarray, shape: list) -> np.ndarray:
-    try:
-        return flat.reshape(shape)
-    except ValueError as exc:  # a zero-size shape with a dimension beyond NumPy's limits
-        raise TrajectoryFormatError(f"bad shape {shape}: {exc}") from exc
-
-
-def _decode_version_3(shapes, content: bytes, offset: int) -> list:
-    """Split the payload at ``offset`` into one fresh float64 array per shape, after checking its size."""
-    if type(shapes) is not list or not all(
-            type(shape) is list and all(type(d) is int and d >= 0 for d in shape) for shape in shapes):
-        raise TrajectoryFormatError("shapes must be a list of lists of integers >= 0")
-    counts = [math.prod(shape) for shape in shapes]
-    size = len(content) - offset
-    if size != 8 * sum(counts):
-        raise TrajectoryFormatError(f"{size} payload bytes for {sum(counts)} values, expected {8 * sum(counts)}")
-    flat = np.frombuffer(content, dtype="<f8", offset=offset).astype(np.float64)
-    tensors, start = [], 0
-    for shape, count in zip(shapes, counts):
-        tensors.append(_reshape(flat[start:start + count], shape))
-        start += count
-    return tensors
-
-
-def _decode_tensor(record, version: int) -> np.ndarray:
-    """One version 1 or 2 tensor record as a fresh, writable, C-contiguous float64 array."""
-    if type(record) is not dict or "shape" not in record or "data" not in record:
-        raise TrajectoryFormatError("tensor record must be an object with shape and data")
-    shape, data = record["shape"], record["data"]
-    if type(shape) is not list or not all(type(d) is int and d >= 0 for d in shape):
-        raise TrajectoryFormatError(f"shape must be a list of integers >= 0, got {shape!r}")
-    count = math.prod(shape)
-    if version == 1:
-        if type(data) is not list or not all(type(x) in (int, float) for x in data):
-            raise TrajectoryFormatError("version 1 data must be a flat list of numbers")
-        if len(data) != count:
-            raise TrajectoryFormatError(f"{len(data)} values for shape {shape}")
-        try:
-            return _reshape(np.array(data, dtype=np.float64), shape)
-        except OverflowError as exc:
-            raise TrajectoryFormatError(f"bad tensor value: {exc}") from exc
-    if type(data) is not str:
-        raise TrajectoryFormatError("version 2 data must be a base64 string")
-    try:
-        raw = base64.b64decode(data, validate=True)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII string
-        raise TrajectoryFormatError(f"bad base64 data: {exc}") from exc
-    if len(raw) != 8 * count:
-        raise TrajectoryFormatError(f"{len(raw)} bytes for shape {shape}, expected {8 * count}")
-    return _reshape(np.frombuffer(raw, dtype="<f8").astype(np.float64), shape)
-
-
 def load_trajectory(path: str) -> list:
-    """Read a file written by ``dump_trajectory``: version 3, or the JSON of versions 1 and 2.
+    """Read a version 3 file written by ``dump_trajectory``.
 
-    A file whose first line is a JSON object with ``"version": 3`` is read as
-    version 3: its ``shapes`` must be a list of lists of integers >= 0, and
-    the payload after the newline exactly 8 bytes per value, checked before
-    anything is allocated. Any other file is read as one JSON document of
-    version 1 (decimal lists) or 2 (base64 records), whose tensor records
-    need a shape of integers >= 0 and ``prod(shape)`` values. Returns fresh,
-    writable, C-contiguous float64 arrays. A malformed file is a
-    ``TrajectoryFormatError``; a JSON document of a version other than 1 or
-    2 is a ``TrajectoryVersionError``.
+    The first line must be a JSON object whose ``version`` is the int 3;
+    any other version, such as a one-line version 1 or 2 JSON document, is
+    a ``TrajectoryVersionError`` naming it. ``shapes`` must be a list of
+    lists of integers >= 0, and the payload after the newline exactly 8
+    bytes per value, checked before anything is allocated. Anything else is
+    a ``TrajectoryFormatError``. Returns fresh, writable, C-contiguous
+    float64 arrays, split from one copy of the payload.
     """
     with open(path, "rb") as fh:
         content = fh.read()
     newline = content.find(b"\n")
     try:
-        header = _parse_json(content[:newline] if newline >= 0 else content)
-    except TrajectoryFormatError:
-        if newline < 0:  # the first line is the whole file
-            raise
-        header = None
-    if isinstance(header, dict) and header.get("version") == TRAJECTORY_SCHEMA_VERSION \
-            and type(header["version"]) is int:
-        if newline < 0:
-            raise TrajectoryFormatError("version 3 header line does not end in a newline")
-        return _decode_version_3(header.get("shapes"), content, newline + 1)
-    doc = header if newline < 0 else _parse_json(content)
-    if not isinstance(doc, dict) or "version" not in doc:
-        raise TrajectoryFormatError("missing version field")
-    version = doc["version"]
-    if type(version) is not int or version not in (1, 2):
-        raise TrajectoryVersionError(f"unsupported version {version!r}")
-    tensors = doc.get("tensors")
-    if type(tensors) is not list:
-        raise TrajectoryFormatError("tensors must be a list")
-    return [_decode_tensor(t, version) for t in tensors]
+        header = json.loads((content[:newline] if newline >= 0 else content).decode("utf-8"))
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
+        raise TrajectoryFormatError(f"malformed trajectory header: {exc}") from exc
+    if not isinstance(header, dict) or "version" not in header:
+        raise TrajectoryFormatError("header must be a JSON object with a version field")
+    version = header["version"]
+    if type(version) is not int or version != TRAJECTORY_SCHEMA_VERSION:
+        raise TrajectoryVersionError(
+            f"unsupported version {version!r}: only version {TRAJECTORY_SCHEMA_VERSION} is read")
+    if newline < 0:
+        raise TrajectoryFormatError("version 3 header line does not end in a newline")
+    shapes = header.get("shapes")
+    if type(shapes) is not list or not all(
+            type(shape) is list and all(type(d) is int and d >= 0 for d in shape) for shape in shapes):
+        raise TrajectoryFormatError("shapes must be a list of lists of integers >= 0")
+    counts = [math.prod(shape) for shape in shapes]
+    size = len(content) - newline - 1
+    if size != 8 * sum(counts):
+        raise TrajectoryFormatError(f"{size} payload bytes for {sum(counts)} values, expected {8 * sum(counts)}")
+    flat = np.frombuffer(content, dtype="<f8", offset=newline + 1).astype(np.float64)
+    tensors, start = [], 0
+    for shape, count in zip(shapes, counts):
+        try:
+            tensors.append(flat[start:start + count].reshape(shape))
+        except ValueError as exc:  # a zero-size shape with a dimension beyond NumPy's limits
+            raise TrajectoryFormatError(f"bad shape {shape}: {exc}") from exc
+        start += count
+    return tensors

@@ -1,5 +1,4 @@
 import argparse
-import base64
 import json
 import math
 import os
@@ -167,46 +166,9 @@ TENSORS = st.lists(
     max_size=5)
 
 
-def b64(*values) -> str:
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
-
-
 def f8(*values) -> bytes:
     return np.asarray(values, dtype="<f8").tobytes()
 
-
-# (version, tensor record) pairs that load_trajectory must reject as malformed.
-BAD_RECORDS = {
-    "negative dim": (1, {"shape": [-1], "data": [1.0, 2.0, 3.0]}),
-    "inferred dim": (1, {"shape": [2, -1], "data": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}),
-    "negative dims, positive count": (1, {"shape": [-1, -1], "data": [1.0]}),
-    "int shape": (1, {"shape": 3, "data": [1.0, 2.0, 3.0]}),
-    "bool dim": (1, {"shape": [True], "data": [1.0]}),
-    "float dim": (1, {"shape": [2.0], "data": [1.0, 2.0]}),
-    "nested data": (1, {"shape": [2, 2], "data": [[1.0, 2.0], [3.0, 4.0]]}),
-    "string value": (1, {"shape": [1], "data": ["1.5"]}),
-    "bool value": (1, {"shape": [1], "data": [True]}),
-    "too few values": (1, {"shape": [3], "data": [1.0, 2.0]}),
-    "too many values": (1, {"shape": [1], "data": [1.0, 2.0]}),
-    "int beyond float64": (1, {"shape": [1], "data": [10**400]}),
-    "base64 in version 1": (1, {"shape": [1], "data": b64(1.0)}),
-    "list in version 2": (2, {"shape": [1], "data": [1.0]}),
-    "v2 negative dim": (2, {"shape": [-1], "data": b64(1.0)}),
-    "v2 negative dims, positive count": (2, {"shape": [-2, -1], "data": b64(1.0, 2.0)}),
-    "v2 int shape": (2, {"shape": 1, "data": b64(1.0)}),
-    "too few bytes": (2, {"shape": [2], "data": b64(1.0)}),
-    "too many bytes": (2, {"shape": [1], "data": b64(1.0, 2.0)}),
-    "partial float": (2, {"shape": [1], "data": base64.b64encode(bytes(7)).decode("ascii")}),
-    "unpadded base64": (2, {"shape": [1], "data": b64(1.0).rstrip("=")}),
-    "not base64": (2, {"shape": [1], "data": "!!!!!!!!!!!!"}),
-    "junk inside base64": (2, {"shape": [1], "data": "AAAA*AAAA8D8="}),
-    "non-ascii data": (2, {"shape": [1], "data": "AAAAAAAA8D\u00e9="}),
-    "missing data": (2, {"shape": [1]}),
-    "missing shape": (2, {"data": b64(1.0)}),
-    "record not an object": (2, [[1], b64(1.0)]),
-    "zero-size shape beyond numpy": (1, {"shape": [0, 2**63], "data": []}),
-    "v2 zero-size shape beyond numpy": (2, {"shape": [0, 2**63], "data": ""}),
-}
 
 # Version 3 files that load_trajectory must reject as malformed: a header line, then the payload.
 BAD_V3_FILES = {
@@ -226,6 +188,8 @@ BAD_V3_FILES = {
     "huge element count": b'{"version": 3, "shapes": [[1099511627776, 1099511627776]]}\n' + f8(1.0),
     "zero-size shape beyond numpy": b'{"version": 3, "shapes": [[0, 9223372036854775808]]}\n',
     "no newline after the header": b'{"version": 3, "shapes": []}',
+    "bad utf-8": b'{"version": 3, "shapes": [[1]], "extra": \xff}\n' + f8(1.0),
+    "5001-digit integer": b'{"version": 3, "shapes": [[1' + b"0" * 5000 + b']]}\n' + f8(1.0),
 }
 
 
@@ -254,67 +218,22 @@ class TestTrajectoryIO:
         assert path.read_bytes() == (b'{"version": 3, "shapes": [[2], [1, 1]]}\n'
                                      + bytes.fromhex("000000000000f03f" "00000000000000c0" "000000000000e03f"))
 
-    @settings(max_examples=50, deadline=None)
-    @given(traj=TENSORS)
-    def test_version_2_file_loads_bitwise(self, traj):
-        # How version 2 was written: one JSON document of base64 records.
-        doc = {"version": 2, "tensors": [
-            {"shape": list(z.shape), "data": base64.b64encode(np.asarray(z, dtype="<f8").tobytes()).decode("ascii")}
-            for z in traj]}
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "v2.json")
-            with open(path, "w") as fh:
-                json.dump(doc, fh)
-            loaded = load_trajectory(path)
-        assert len(loaded) == len(traj)
-        for a, b in zip(traj, loaded):
-            assert a.shape == b.shape
-            assert np.ascontiguousarray(a, dtype=np.float64).tobytes() == b.tobytes()
-            assert_fresh_float64(b)
-
-    def test_version_1_file_loads_bitwise(self, tmp_path):
-        rng = np.random.default_rng(0)
-        traj = [rng.standard_normal((3, 4)) * 10.0 ** rng.integers(-300, 300, (3, 4)),
-                np.array(5e-324), np.zeros((0, 2)),
-                np.array([np.inf, -np.inf, -0.0, MAX_FLOAT, 2.0**60])]
-        path = tmp_path / "v1.json"
-        # How version 1 was written: decimal lists through json.
-        doc = {"version": 1, "tensors": [
-            {"shape": list(z.shape), "data": np.asarray(z, dtype=np.float64).ravel().tolist()} for z in traj]}
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-        loaded = load_trajectory(path)
-        assert len(loaded) == len(traj)
-        for a, b in zip(traj, loaded):
-            assert a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
-            assert_fresh_float64(b)
-        path.write_text(json.dumps({"version": 4, "tensors": []}))
-        with pytest.raises(TrajectoryVersionError, match="unsupported version 4"):
-            load_trajectory(path)
-
-    @pytest.mark.parametrize("version, record", BAD_RECORDS.values(), ids=BAD_RECORDS.keys())
-    def test_malformed_record_rejected(self, tmp_path, version, record):
+    @pytest.mark.parametrize("version, content", [
+        # How versions 1 and 2 were written: json.dump of one document, one line with no newline.
+        # Version 2 held base64 records; "AAAAAAAA8D8=" is the little-endian bytes of 1.0.
+        (1, json.dumps({"version": 1, "tensors": [{"shape": [2], "data": [1.0, -2.0]}]}).encode()),
+        (2, json.dumps({"version": 2, "tensors": [{"shape": [1], "data": "AAAAAAAA8D8="}]}).encode()),
+        (4, b'{"version": 4, "shapes": [[1]]}\n' + f8(1.0)),
+    ], ids=["version 1", "version 2", "version 4"])
+    def test_other_versions_refused_by_name(self, tmp_path, version, content):
         path = tmp_path / "traj.json"
-        path.write_text(json.dumps({"version": version, "tensors": [record]}))
-        with pytest.raises(TrajectoryFormatError):
+        path.write_bytes(content)
+        with pytest.raises(TrajectoryVersionError, match=f"unsupported version {version}: only version 3 is read"):
             load_trajectory(path)
 
     @pytest.mark.parametrize("content", BAD_V3_FILES.values(), ids=BAD_V3_FILES.keys())
     def test_malformed_version_3_file_rejected(self, tmp_path, content):
         path = tmp_path / "traj.bin"
-        path.write_bytes(content)
-        with pytest.raises(TrajectoryFormatError):
-            load_trajectory(path)
-
-    @pytest.mark.parametrize("content", [
-        b'{"version": 2}',
-        b'{"version": 2, "tensors": {}}',
-        b'{"version": 2, "tensors": [], "extra": \xff}',
-        b'{"version": 1, "tensors": [{"shape": [1], "data": [1' + b"0" * 5000 + b']}]}',
-    ], ids=["no tensors", "tensors not a list", "bad utf-8", "5001-digit integer"])
-    def test_malformed_document_rejected(self, tmp_path, content):
-        path = tmp_path / "traj.json"
         path.write_bytes(content)
         with pytest.raises(TrajectoryFormatError):
             load_trajectory(path)

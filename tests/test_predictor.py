@@ -484,7 +484,7 @@ class TestAnchorSchedule:
         model = build_model(0)
         for w in model.weights:
             w["A"][:] = 0.0
-            w["c"][:] = 0.0
+            w["Abc"][:, -1] = 0.0
         rng = SeededRng(1)
         z, cond = rng.normal((1, 8, 8)), rng.normal(8)
         cfg = SamplerConfig(steps=50)
