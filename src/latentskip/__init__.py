@@ -7,7 +7,7 @@ from .flow_model import (Conditioning, LayerOutputs, MaskPair, SamplerConfig, To
                          euler_step, forward_diffuse, masked_recon_loss, velocity_loss)
 from .harness import ExperimentConfig, MetricsReport, ablation_sweep, dump_trajectory, \
     load_trajectory, run_experiment
-from .norm_fusion import fuse_normalized, image_moments, normalize_fuse, normalize_portrait
+from .norm_fusion import image_moments, normalize_fuse, normalize_portrait
 from .predictor import PredictorConfig
 from .windows import WindowPlan, blend_overlap, blend_weights, run_long, sample_accelerated, sample_full
 

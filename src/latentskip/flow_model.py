@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import FeatureStats, SeededRng, check_kinds, mean, require_finite
-from .norm_fusion import FUSION_MODES, image_moments, normalize_portrait
+from .norm_fusion import FUSION_MODES, READS_IMAGE_MOMENTS, check_mode, image_moments, normalize_portrait
 # Bound under this name because perfbench/tracer.py times fusion by wrapping flow_model.fuse_streams.
 # The kernel runs unchecked: Conditioning checked its streams and moments once, when built.
 from .norm_fusion import fuse_kernel as fuse_streams
@@ -75,13 +75,12 @@ class Conditioning:
     portrait stream), the streams of shape (frames, layer_width). No step
     changes either stream, so both streams' moments are taken once per
     window, and ``ToyModel.eval`` runs only the scale, shift and add of the
-    fusion (``fuse_kernel``, unchecked) at every step. Everything that
-    ``fuse_normalized`` would check at each call is checked here instead,
-    once, when the conditioning is built: one triple per layer of ``model``,
-    both streams float64 of shape (frames, layer_width), and the image
-    moments present exactly for the fusion modes that read them. ``model``
-    is the model that built it; ``eval`` rejects a conditioning any other
-    model built.
+    fusion (``fuse_kernel``, unchecked) at every step. What the kernel
+    needs is checked here, once, when the conditioning is built: a known
+    fusion mode, one triple per layer of ``model``, both streams float64 of
+    shape (frames, layer_width), and the image moments present exactly for
+    the modes in ``norm_fusion.READS_IMAGE_MOMENTS``. ``model`` is the model
+    that built it; ``eval`` rejects a conditioning any other model built.
     """
 
     frames: int
@@ -90,12 +89,11 @@ class Conditioning:
 
     def __post_init__(self):
         mode = self.model.fusion_mode
-        if mode not in FUSION_MODES:
-            raise ValueError(f"unknown fusion mode {mode!r}")
+        check_mode(mode)
         if len(self.layers) != self.model.layer_count:
             raise ValueError(f"conditioning has {len(self.layers)} layers, "
                              f"the model has {self.model.layer_count}")
-        reads_moments = mode in ("ours", "centralization")
+        reads_moments = mode in READS_IMAGE_MOMENTS
         for m, (w, layer) in enumerate(zip(self.model.weights, self.layers)):
             if len(layer) != 3:
                 raise ValueError(f"layer {m} holds {len(layer)} items, not (image stream, moments, portrait stream)")
@@ -212,8 +210,11 @@ def build_model(seed: int, layer_count: int = 4, width: int = 32,
     """Draw all weights from a single seeded stream, scaled by 1/sqrt(width)."""
     if layer_count < 2 or width < 2:
         raise ValueError("layer_count and width must both be >= 2")
-    if fusion_mode not in FUSION_MODES:
-        raise ValueError(f"unknown fusion mode {fusion_mode!r}")
+    if latent_dim < 1:
+        raise ValueError(f"latent_dim must be >= 1, got {latent_dim}")
+    if cond_dim < 0:
+        raise ValueError(f"cond_dim must be >= 0, got {cond_dim}")
+    check_mode(fusion_mode)
     rng = SeededRng(seed)
     scale = 1.0 / math.sqrt(width)
     weights = []

@@ -174,7 +174,7 @@ GRID_KEYS = {"K": "anchor_spacing", "n": "order", "dynamics": "dynamics_enabled"
 def ablation_sweep(base: ExperimentConfig, grid: dict, jobs: int = 1) -> list[MetricsReport]:
     """One report per grid cell, run one after another, sorted by (mode, K, n).
 
-    ``grid`` maps a subset of {K, n, dynamics, fusion} to non-empty lists (or tuples) of values.
+    ``grid`` maps a subset of {K, n, dynamics, fusion} to non-empty lists (or tuples) of distinct values.
     Every cell is built, and so checked, before any cell runs.
     ``jobs`` accepts only 1 and remains for callers that pass it.
     """
@@ -187,8 +187,12 @@ def ablation_sweep(base: ExperimentConfig, grid: dict, jobs: int = 1) -> list[Me
         raise ValueError(f"unknown grid keys: {sorted(unknown)}")
     keys = sorted(grid)
     for key in keys:
-        if type(grid[key]) not in (list, tuple) or not grid[key]:
-            raise ValueError(f"grid {key}: expected a non-empty list, got {grid[key]!r}")
+        values = grid[key]
+        if type(values) not in (list, tuple) or not values:
+            raise ValueError(f"grid {key}: expected a non-empty list, got {values!r}")
+        for i, value in enumerate(values):
+            if value in values[:i]:  # its cells would run twice and give identical reports
+                raise ValueError(f"grid {key}: repeated value {value!r}")
     cells = []
     for combo in itertools.product(*(grid[k] for k in keys)):
         cell = dict(zip(keys, combo))

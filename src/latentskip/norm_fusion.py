@@ -2,15 +2,15 @@
 
 ``normalize_fuse`` rescales the portrait stream to the image stream's global
 mean/std before the residual add, so the two feature distributions share a
-center. It is three parts, split where the paper's Normalized Facial
-Expression Block splits: ``normalize_portrait`` standardises the portrait
-stream by its own moments, ``image_moments`` takes the image stream's
-moments, and ``fuse_normalized`` aligns the normalized portrait stream to
-those moments and adds the image stream. No denoising step changes either
-stream, so the model takes both streams' moments once per window and runs
-only the scale, shift and add (``fuse_kernel``, ``fuse_normalized`` without
-its checks) at every layer of every step. The other modes are the ablation
-baselines.
+center. It composes two public halves, split where the paper's Normalized
+Facial Expression Block splits: ``normalize_portrait`` standardises the
+portrait stream by its own moments, and ``image_moments`` takes the image
+stream's moments for the modes in ``READS_IMAGE_MOMENTS``. ``fuse_kernel``,
+internal and unchecked, aligns the normalized portrait stream to those
+moments and adds the image stream. No denoising step changes either stream,
+so the model takes both streams' moments once per window, checks them once
+(``flow_model.Conditioning``) and runs only the kernel at every layer of
+every step. The other modes are the ablation baselines.
 """
 
 from __future__ import annotations
@@ -20,9 +20,11 @@ import numpy as np
 from .core import EPS, FeatureStats, stats
 
 FUSION_MODES = ("baseline-add", "pure-norm", "centralization", "ours")
+# The modes whose fusion reads the image stream's moments; the others add the image stream as is.
+READS_IMAGE_MOMENTS = ("ours", "centralization")
 
 
-def _check_mode(mode: str) -> None:
+def check_mode(mode: str) -> None:
     if mode not in FUSION_MODES:
         raise ValueError(f"unknown fusion mode {mode!r}")
 
@@ -32,7 +34,7 @@ def normalize_portrait(z_p: np.ndarray, mode: str = "ours") -> np.ndarray:
 
     Mode "baseline-add" uses no statistics and returns z_p unchanged.
     """
-    _check_mode(mode)
+    check_mode(mode)
     z_p = np.asarray(z_p, dtype=np.float64)
     if mode == "baseline-add":
         return z_p
@@ -43,51 +45,22 @@ def normalize_portrait(z_p: np.ndarray, mode: str = "ours") -> np.ndarray:
 
 
 def image_moments(z_img: np.ndarray, mode: str = "ours") -> FeatureStats | None:
-    """The image half of the fusion: ``stats(z_img)`` for the modes that read it, else None.
-
-    Modes "ours" and "centralization" read the image stream's moments;
-    "pure-norm" and "baseline-add" do not.
-    """
-    _check_mode(mode)
-    if mode in ("baseline-add", "pure-norm"):
-        return None
-    return stats(z_img)
-
-
-def fuse_normalized(z_img: np.ndarray, si: FeatureStats | None, p: np.ndarray,
-                    mode: str = "ours") -> np.ndarray:
-    """Fuse ``p = normalize_portrait(z_p, mode)`` into the image stream ``z_img``.
-
-    ``si = image_moments(z_img, mode)``: this half takes no moments itself.
-    ``p`` is not written to.
-    mode "ours": align p to (mean, std) of z_img, then add z_img.
-    mode "pure-norm": p + z_img.
-    mode "centralization": p + the standardized image stream.
-    mode "baseline-add": plain p + z_img.
-    This is the checked entry point: it checks the mode, the shapes and that
-    ``si`` is there for the modes that read it, then runs ``fuse_kernel``. The
-    model's step loop runs the kernel alone, on streams that its
-    ``Conditioning`` checked once, when it was built.
-    """
-    _check_mode(mode)
-    z_img = np.asarray(z_img, dtype=np.float64)
-    if z_img.shape != np.shape(p):
-        raise ValueError("shape mismatch")
-    if si is None and mode in ("ours", "centralization"):
-        raise ValueError(f"fusion mode {mode!r} needs the image stream's moments")
-    return fuse_kernel(z_img, si, p, mode)
+    """The image half of the fusion: ``stats(z_img)`` for the modes in ``READS_IMAGE_MOMENTS``, else None."""
+    check_mode(mode)
+    return stats(z_img) if mode in READS_IMAGE_MOMENTS else None
 
 
 def fuse_kernel(z_img: np.ndarray, si: FeatureStats | None, p: np.ndarray, mode: str) -> np.ndarray:
-    """The scale, shift and add of ``fuse_normalized``, with none of its checks.
+    """Fuse ``p = normalize_portrait(z_p, mode)`` into ``z_img`` given ``si = image_moments(z_img, mode)``.
 
-    The caller guarantees what ``fuse_normalized`` checks: a known mode,
-    float64 streams of one shape, and ``si`` present for "ours" and
-    "centralization". A stream of another shape would broadcast silently.
+    Checks nothing: the caller guarantees a known mode, float64 streams of
+    one shape, and ``si`` present exactly for the modes in
+    ``READS_IMAGE_MOMENTS``. A stream of another shape would broadcast
+    silently. Neither stream is written to.
     """
     # Each result is one fresh array updated in place, in the order of the
     # expression it stands for, so it is bitwise equal to that expression.
-    if mode in ("baseline-add", "pure-norm"):
+    if mode not in READS_IMAGE_MOMENTS:  # baseline-add: z_p + z_img; pure-norm: p + z_img
         return p + z_img
     if mode == "ours":  # (z_p - mean_p) / std_p * std_img + mean_img + z_img
         out = p * si.std
@@ -102,11 +75,14 @@ def fuse_kernel(z_img: np.ndarray, si: FeatureStats | None, p: np.ndarray, mode:
 
 
 def normalize_fuse(z_img: np.ndarray, z_p: np.ndarray, mode: str = "ours") -> np.ndarray:
-    """Fuse the portrait stream into the image stream: the three parts above, composed.
+    """Fuse the portrait stream into the image stream: the two halves, then the kernel.
 
     mode "ours": align z_p to (mean, std) of z_img, then add z_img.
     mode "pure-norm": standardize z_p only, then add z_img.
     mode "centralization": standardize both streams, then add.
     mode "baseline-add": plain z_p + z_img.
     """
-    return fuse_normalized(z_img, image_moments(z_img, mode), normalize_portrait(z_p, mode), mode)
+    z_img = np.asarray(z_img, dtype=np.float64)
+    if z_img.shape != np.shape(z_p):
+        raise ValueError("shape mismatch")
+    return fuse_kernel(z_img, image_moments(z_img, mode), normalize_portrait(z_p, mode), mode)

@@ -65,8 +65,8 @@ class AnchorCache:
     ``rows[l][i]`` is the i-th difference at layer l with the newest anchor as
     base, orders capped at ``capacity - 1``; ``shape`` is the newest anchor's
     latent shape. A push builds fresh row lists, so a table taken earlier is
-    never changed. Consecutive anchor steps must be spaced exactly
-    ``spacing`` apart, in a consistent direction.
+    never changed. Each anchor step must be exactly ``spacing`` past the
+    previous one, as ``PredictorState.step`` pushes them.
     """
 
     def __init__(self, spacing: int, capacity: int):
@@ -75,18 +75,14 @@ class AnchorCache:
         self.rows: list[list[np.ndarray]] = []
         self.shape: tuple | None = None
         self.newest_step: int | None = None
-        self.delta: int | None = None  # the last step difference between anchors
 
     def __len__(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
     def push(self, step: int, outputs: LayerOutputs, hist: SigmaHistory | None = None):
         """Make ``outputs`` the newest anchor: row i becomes old row i-1 - new row i-1."""
-        if self.newest_step is not None:
-            delta = step - self.newest_step
-            if abs(delta) != self.spacing or self.delta not in (None, delta):
-                raise ValueError("anchor spacing violated")
-            self.delta = delta
+        if self.newest_step is not None and step - self.newest_step != self.spacing:
+            raise ValueError("anchor spacing violated")
         orders = min(len(self), self.capacity - 1)
         rows = []
         for l, value in enumerate(outputs.per_layer):

@@ -110,10 +110,10 @@ def test_criterion_5_difference_order():
     for i in (1, 2):
         errs = []
         for spacing in (0.1, 0.05):
-            # sin(t + j * spacing) anchored at step j, newest (j = 0) last
+            # sin(t + (i - j) * spacing) anchored at step j, newest (j = i, at t) last
             cache = AnchorCache(1, i + 1)
-            for j in range(i, -1, -1):
-                cache.push(j, LayerOutputs([np.array([math.sin(t + j * spacing)])], (1,)))
+            for j in range(i + 1):
+                cache.push(j, LayerOutputs([np.array([math.sin(t + (i - j) * spacing)])], (1,)))
             delta = float(finite_differences(cache).per_layer[0][i][0])
             target = spacing ** i * truth[i]
             errs.append(abs(delta - target) / abs(target))
@@ -129,7 +129,7 @@ def test_criterion_6_exactness():
     for order in (1, 2, 3):
         cache = AnchorCache(spacing, order + 1)
         hist = SigmaHistory()
-        for step in range(order * spacing, -1, -spacing):
+        for step in range(0, order * spacing + 1, spacing):
             layers = [slopes[l] * step + offsets[l] for l in range(4)]
             cache.push(step, LayerOutputs(layers, (6,)), hist)
         table = finite_differences(cache)
@@ -137,15 +137,15 @@ def test_criterion_6_exactness():
         for k in range(1, spacing):
             out = predict(cache, table, hist, k, pcfg)
             for l in range(4):
-                assert np.allclose(out.per_layer[l], slopes[l] * (-k) + offsets[l], atol=1e-9)
+                assert np.allclose(out.per_layer[l], slopes[l] * (order * spacing + k) + offsets[l], atol=1e-9)
 
     cache = AnchorCache(5, 3)
     hist = SigmaHistory()
-    for step in (22, 17, 12):
+    for step in (12, 17, 22):
         cache.push(step, LayerOutputs([np.array([float(step) ** 2])], (1,)), hist)
     out = predict(cache, finite_differences(cache), hist, 2,
                   PredictorConfig(5, 2, dynamics_enabled=False))
-    assert abs((out.final[0] - 100.0) - (-10.0)) <= 1e-9
+    assert abs((out.final[0] - 576.0) - (-10.0)) <= 1e-9
     announce(6, "affine trajectories exact for all k and n>=1; quadratic error equals -k*K")
 
 

@@ -142,6 +142,10 @@ class TestToyModel:
             build_model(0, layer_count=1)
         with pytest.raises(ValueError):
             build_model(0, width=1)
+        with pytest.raises(ValueError, match="latent_dim must be >= 1, got 0"):
+            build_model(0, latent_dim=0)  # eval would return (frames, 0) velocities
+        with pytest.raises(ValueError, match="cond_dim must be >= 0, got -1"):
+            build_model(0, cond_dim=-1)  # not NumPy's "negative dimensions are not allowed"
 
 
 def _rebuilt(conditioning, layers=None, model=None):

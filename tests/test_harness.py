@@ -105,7 +105,8 @@ class TestAblation:
         ({"K": 5}, "grid K: expected a non-empty list, got 5"),
         ({"K": []}, "grid K: expected a non-empty list, got []"),  # would run no cell
         ({"fusion": "ours"}, "grid fusion: expected a non-empty list, got 'ours'"),  # one cell per letter
-    ], ids=["int", "empty", "string"])
+        ({"fusion": ["ours", "ours"]}, "grid fusion: repeated value 'ours'"),  # one cell run twice
+    ], ids=["int", "empty", "string", "repeated"])
     def test_grid_value_must_be_a_non_empty_list(self, grid, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             ablation_sweep(fast_cfg(), grid)

@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from latentskip.core import EPS, SeededRng, stats
-from latentskip.norm_fusion import (FUSION_MODES, fuse_kernel, fuse_normalized, image_moments,
-                                    normalize_fuse, normalize_portrait)
+from latentskip.norm_fusion import FUSION_MODES, fuse_kernel, image_moments, normalize_fuse, normalize_portrait
 
 
 def reference_fuse(z_img, z_p, mode):
@@ -101,15 +100,9 @@ class TestNormalizeFuse:
         with pytest.raises(ValueError, match="unknown fusion mode 'nope'"):
             image_moments(np.ones(3), "nope")
         with pytest.raises(ValueError, match="unknown fusion mode 'nope'"):
-            fuse_normalized(np.ones(3), stats(np.ones(3)), np.ones(3), "nope")
+            normalize_fuse(np.ones(3), np.ones(3), "nope")
         with pytest.raises(ValueError, match="shape mismatch"):
-            fuse_normalized(np.zeros(3), stats(np.zeros(3)), np.zeros(4), "ours")
-
-    @pytest.mark.parametrize("mode", ["ours", "centralization"])
-    def test_fuse_needs_the_image_moments(self, mode):
-        # fuse_normalized never takes the image stream's moments itself.
-        with pytest.raises(ValueError, match=f"fusion mode '{mode}' needs the image stream's moments"):
-            fuse_normalized(np.ones(3), image_moments(np.ones(3), "pure-norm"), np.ones(3), mode)
+            normalize_fuse(np.zeros(3), np.zeros(4), "ours")
 
     def test_image_half_uses_the_image_stream_alone(self):
         z_img = SeededRng(1).normal(64) * 2 + 5
@@ -131,11 +124,10 @@ def test_fuse_bitwise_equals_reference(streams, mode):
     before = [z_img.copy(), z_p.copy()]
     reference = reference_fuse(z_img, z_p, mode)
     assert np.array_equal(normalize_fuse(z_img, z_p, mode), reference)
-    # The model takes both streams' moments once and fuses the results at every step.
+    # The model takes both streams' moments once, and its step loop runs the kernel alone
+    # on streams its Conditioning checked once.
     si, p = image_moments(z_img, mode), normalize_portrait(z_p, mode)
     p_before = p.copy()
-    assert np.array_equal(fuse_normalized(z_img, si, p, mode), reference)
-    # The model's step loop runs the kernel alone, on streams its Conditioning checked once.
     assert np.array_equal(fuse_kernel(z_img, si, p, mode), reference)
     assert np.array_equal(p, p_before)  # reused at the next step, so never written to
     assert np.array_equal(z_img, before[0]) and np.array_equal(z_p, before[1])  # inputs not written to

@@ -133,11 +133,16 @@ class TestAnchorCache:
         cache.push(0, scalar_outputs(0.0))
         with pytest.raises(ValueError, match="anchor spacing violated"):
             cache.push(3, scalar_outputs(1.0))
+        # Anchors ascend: a push spaced K apart but backwards is rejected too.
+        cache = AnchorCache(5, 4)
+        cache.push(10, scalar_outputs(0.0))
+        with pytest.raises(ValueError, match="anchor spacing violated"):
+            cache.push(5, scalar_outputs(1.0))
 
     @pytest.mark.parametrize("capacity", [1, 4])
     def test_direction_flip_rejected(self, capacity):
-        # The last step difference is kept at every capacity, so a cache of one anchor
-        # (max_order 0) rejects the flip too.
+        # The newest step is kept at every capacity, so a cache of one anchor (max_order 0)
+        # rejects the flip too.
         cache = AnchorCache(5, capacity)
         cache.push(10, scalar_outputs(0.0))
         cache.push(15, scalar_outputs(1.0))
@@ -147,13 +152,13 @@ class TestAnchorCache:
 
 class TestFiniteDifferences:
     def test_affine_signal(self):
-        cache, _ = cache_from_scalar(lambda s: float(s), [15, 10, 5, 0], spacing=5, capacity=4)
+        cache, _ = cache_from_scalar(lambda s: 15.0 - s, [0, 5, 10, 15], spacing=5, capacity=4)
         table = finite_differences(cache)
         diffs = [float(d[0]) for d in table.per_layer[0]]
         assert diffs[1] == 5.0 and diffs[2] == 0.0 and diffs[3] == 0.0
 
     def test_quadratic_signal(self):
-        cache, _ = cache_from_scalar(lambda s: float(s) ** 2, [15, 10, 5, 0], spacing=5, capacity=4)
+        cache, _ = cache_from_scalar(lambda s: (15.0 - s) ** 2, [0, 5, 10, 15], spacing=5, capacity=4)
         diffs = [float(d[0]) for d in finite_differences(cache).per_layer[0]]
         assert diffs == [0.0, 25.0, 50.0, 0.0]
 
@@ -173,13 +178,12 @@ class TestFiniteDifferences:
         layers = data.draw(st.integers(1, 4))
         hidden, final = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=2, unique=True))
         spacing = data.draw(st.integers(1, 5))
-        delta = spacing * data.draw(st.sampled_from([1, -1]))
         values = st.floats(-1e6, 1e6, allow_nan=False)
         cache, hist, history, tables = AnchorCache(spacing, capacity), SigmaHistory(), [], []
         for p in range(pushes):
             history.insert(0, LayerOutputs([data.draw(arrays(np.float64, final if l == layers - 1 else hidden,
                                                              elements=values)) for l in range(layers)], (final,)))
-            cache.push(p * delta, history[0], hist)
+            cache.push(p * spacing, history[0], hist)
             assert len(cache) == min(p + 1, capacity) and cache.shape == (final,)
             # sigma is the norm of the final layer's order-1 row (old - new; at capacity 1, new - old
             # itself), bitwise equal to the norm of the anchors' outputs' difference
@@ -265,17 +269,17 @@ class TestDynamics:
 class TestPredict:
     def test_affine_exact(self):
         cfg = PredictorConfig(anchor_spacing=5, max_order=1, dynamics_enabled=False)
-        cache, hist = cache_from_scalar(lambda s: 3.0 * s + 1.0, [17, 12], spacing=5, capacity=2)
+        cache, hist = cache_from_scalar(lambda s: 3.0 * s + 1.0, [12, 17], spacing=5, capacity=2)
         out = predict(cache, finite_differences(cache), hist, 2, cfg)
-        assert out.final[0] == pytest.approx(31.0, abs=1e-9)
+        assert out.final[0] == pytest.approx(58.0, abs=1e-9)
 
     def test_quadratic_truncation_error(self):
         cfg = PredictorConfig(anchor_spacing=5, max_order=2, dynamics_enabled=False)
-        cache, hist = cache_from_scalar(lambda s: float(s) ** 2, [22, 17, 12], spacing=5, capacity=3)
+        cache, hist = cache_from_scalar(lambda s: float(s) ** 2, [12, 17, 22], spacing=5, capacity=3)
         out = predict(cache, finite_differences(cache), hist, 2, cfg)
-        assert out.final[0] == pytest.approx(90.0, abs=1e-9)
+        assert out.final[0] == pytest.approx(566.0, abs=1e-9)
         # documented truncation: predicted - true == -k*K
-        assert out.final[0] - 100.0 == pytest.approx(-10.0, abs=1e-9)
+        assert out.final[0] - 576.0 == pytest.approx(-10.0, abs=1e-9)
 
     def test_zero_order_hold(self):
         cfg = PredictorConfig(anchor_spacing=5, max_order=3, dynamics_enabled=False)
@@ -290,14 +294,14 @@ class TestPredict:
         cfg = PredictorConfig(anchor_spacing=spacing, max_order=3, dynamics_enabled=False)
         cache = AnchorCache(spacing, 4)
         hist = SigmaHistory()
-        for step in (15, 10, 5, 0):
+        for step in (0, 5, 10, 15):
             layers = [slopes[l] * step + offsets[l] for l in range(3)]
             cache.push(step, LayerOutputs(layers, (6,)), hist)
         table = finite_differences(cache)
         for k in range(1, spacing):
             out = predict(cache, table, hist, k, cfg)
             for l in range(3):
-                expected = slopes[l] * (0 - k) + offsets[l]
+                expected = slopes[l] * (15 + k) + offsets[l]
                 assert np.allclose(out.per_layer[l], expected, atol=1e-9)
 
     def test_empty_cache_rejected(self):
@@ -307,7 +311,7 @@ class TestPredict:
 
     def test_k_out_of_range(self):
         cfg = PredictorConfig(anchor_spacing=5, max_order=1)
-        cache, hist = cache_from_scalar(float, [5, 0], spacing=5, capacity=2)
+        cache, hist = cache_from_scalar(float, [0, 5], spacing=5, capacity=2)
         table = finite_differences(cache)
         with pytest.raises(ValueError):
             predict(cache, table, hist, 5, cfg)
@@ -315,7 +319,7 @@ class TestPredict:
             predict(cache, table, hist, 0, cfg)
 
     def test_neutral_dynamics_bitwise_equivalence(self, monkeypatch):
-        cache, hist = cache_from_scalar(lambda s: math.sin(0.1 * s), [15, 10, 5, 0],
+        cache, hist = cache_from_scalar(lambda s: math.sin(0.1 * s), [0, 5, 10, 15],
                                         spacing=5, capacity=4)
         table = finite_differences(cache)
         off = predict(cache, table, hist, 2, PredictorConfig(5, 3, 1.5, False))

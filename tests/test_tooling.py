@@ -33,6 +33,50 @@ def test_moments_come_from_core():
     assert not hits, "compute moments with core.mean / core.stats:\n" + "\n".join(hits)
 
 
+# The unchecked kernels may run only where their inputs are checked, once: the fusion kernel in
+# ToyModel.eval (bound as fuse_streams, on a checked Conditioning's streams) and in normalize_fuse;
+# the Euler kernel in euler_step and in run_long's loop (bound as euler_step, dt from timesteps()).
+KERNEL_SITES = {
+    "fuse_kernel": {("flow_model.py", "import as fuse_streams"), ("norm_fusion.py", "normalize_fuse")},
+    "euler_kernel": {("flow_model.py", "euler_step"), ("windows.py", "import as euler_step")},
+}
+
+
+def _kernel_references(tree):
+    """(kernel, site, line) per reference; the site is the enclosing def, or the import's binding."""
+    found = []
+
+    def visit(node, site):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            site = node.name
+        if isinstance(node, ast.ImportFrom):
+            found.extend((alias.name, f"import as {alias.asname or alias.name}", node.lineno)
+                         for alias in node.names if alias.name in KERNEL_SITES)
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name in KERNEL_SITES:
+            found.append((name, site, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, site)
+
+    visit(tree, "module level")
+    return found
+
+
+def test_kernels_run_only_at_their_checked_sites():
+    package = Path(latentskip.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert sources, f"no modules found in {package}"
+    seen, hits = set(), []
+    for path in sources:
+        for kernel, site, lineno in _kernel_references(ast.parse(path.read_text())):
+            seen.add((kernel, path.name, site))
+            if (path.name, site) not in KERNEL_SITES[kernel]:
+                hits.append(f"{path.name}:{lineno}: {kernel} in {site}")
+    assert not hits, "call the checked entry point (normalize_fuse, euler_step) instead:\n" + "\n".join(hits)
+    missing = {(kernel, *where) for kernel, sites in KERNEL_SITES.items() for where in sites} - seen
+    assert not missing, f"KERNEL_SITES lists sites the package no longer has: {sorted(missing)}"
+
+
 # What the rest of the package may take from predictor: its config and its one interface.
 PREDICTOR_INTERFACE = {"PredictorConfig", "PredictorState"}
 
