@@ -204,17 +204,37 @@ class ToyModel:
         return cond
 
 
+# build_model's rule for each model parameter: (holds, requirement).
+MODEL_RULES = {
+    "layer_count": (lambda v: v >= 2, "must be >= 2"),
+    "width": (lambda v: v >= 2, "must be >= 2"),
+    "latent_dim": (lambda v: v >= 1, "must be >= 1"),
+    "cond_dim": (lambda v: v >= 0, "must be >= 0"),
+    "fusion_mode": (lambda v: v in FUSION_MODES, f"must be one of {FUSION_MODES}"),
+}
+
+
+def check_model_param(param: str, value, name: str | None = None) -> None:
+    """A ValueError ``"<name>: <requirement>, got <value>"`` unless ``value`` keeps ``param``'s rule.
+
+    ``param`` is a ``build_model`` parameter; ``name``, the field the caller
+    reports, defaults to it.
+    """
+    holds, requirement = MODEL_RULES[param]
+    if not holds(value):
+        raise ValueError(f"{name or param}: {requirement}, got {value!r}")
+
+
 def build_model(seed: int, layer_count: int = 4, width: int = 32,
                 latent_dim: int = 64, cond_dim: int = 8,
                 fusion_mode: str = "baseline-add") -> ToyModel:
-    """Draw all weights from a single seeded stream, scaled by 1/sqrt(width)."""
-    if layer_count < 2 or width < 2:
-        raise ValueError("layer_count and width must both be >= 2")
-    if latent_dim < 1:
-        raise ValueError(f"latent_dim must be >= 1, got {latent_dim}")
-    if cond_dim < 0:
-        raise ValueError(f"cond_dim must be >= 0, got {cond_dim}")
-    check_mode(fusion_mode)
+    """Draw all weights from a single seeded stream, scaled by 1/sqrt(width).
+
+    Each parameter must keep its rule in ``MODEL_RULES``.
+    """
+    for param, value in (("layer_count", layer_count), ("width", width), ("latent_dim", latent_dim),
+                         ("cond_dim", cond_dim), ("fusion_mode", fusion_mode)):
+        check_model_param(param, value)
     rng = SeededRng(seed)
     scale = 1.0 / math.sqrt(width)
     weights = []

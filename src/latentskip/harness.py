@@ -12,20 +12,27 @@ import io
 import itertools
 import json
 import math
+import os
+import stat
 import time
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .core import SeededRng, check_kinds, mean, relative_l2
-from .flow_model import FUSION_MODES, SamplerConfig, build_model
+from .flow_model import SamplerConfig, build_model, check_model_param
 from .predictor import PredictorConfig
 from .windows import WindowPlan, run_long
 
 CSV_HEADER = ["mode", "K", "n", "alpha", "T", "L", "l", "v",
               "evals", "predicted", "wall_ms", "rel_err_final", "rel_err_mean"]
 
+# ExperimentConfig's fields that are build_model parameters, as (field, parameter).
+MODEL_FIELDS = (("cond_dim", "cond_dim"), ("layers", "layer_count"), ("width", "width"), ("fusion", "fusion_mode"))
+
 TRAJECTORY_SCHEMA_VERSION = 3
+# dump_trajectory's write buffer is at most this, so a dump holds no more than it on top of the latents.
+WRITE_BUFFER_BYTES = 1 << 20
 
 
 class TrajectoryFormatError(ValueError):
@@ -66,19 +73,16 @@ class ExperimentConfig:
     def __post_init__(self):
         check_kinds(self)
         object.__setattr__(self, "frame_shape", tuple(self.frame_shape))
-        checks = [
-            ("seed", self.seed >= 0, "must be >= 0"),
-            ("frame_shape", min(self.frame_shape, default=0) >= 1,
-             "must be a non-empty list of entries >= 1"),
-            ("cond_dim", self.cond_dim >= 0, "must be >= 0"),
-            ("layers", self.layers >= 2, "must be >= 2"),
-            ("width", self.width >= 2, "must be >= 2"),
-            ("fusion", self.fusion in FUSION_MODES, f"must be one of {FUSION_MODES}"),
-            ("repetitions", self.repetitions >= 1, "must be >= 1"),
-        ]
-        for name, ok, msg in checks:
-            if not ok:
-                raise ValueError(f"{name}: {msg}")
+        if self.seed < 0:
+            raise ValueError("seed: must be >= 0")
+        if not self.frame_shape:
+            raise ValueError("frame_shape: must be a non-empty list")
+        for d in self.frame_shape:  # every axis of a frame keeps the model's latent_dim rule
+            check_model_param("latent_dim", d, "frame_shape")
+        for name, param in MODEL_FIELDS:
+            check_model_param(param, getattr(self, name), name)
+        if self.repetitions < 1:
+            raise ValueError("repetitions: must be >= 1")
         object.__setattr__(self, "sampler", SamplerConfig(steps=self.steps))
         object.__setattr__(self, "plan", WindowPlan(self.frames, self.window, self.overlap))
         object.__setattr__(self, "predictor", PredictorConfig(
@@ -220,31 +224,26 @@ def dump_trajectory(trajectory: list, path: str):
     The little-endian float64 bytes of each tensor follow in C order,
     concatenated, with nothing after them. Every bit pattern, NaN payloads
     included, round-trips, and equal latents give byte-identical files.
+    Each latent's own memory (a C-contiguous little-endian float64 copy only
+    when it is not one already) goes through one buffered writer of at most
+    ``WRITE_BUFFER_BYTES`` and no larger than the file, so a file that fits
+    the buffer is one write.
     """
-    tensors = [np.asarray(z, dtype="<f8") for z in trajectory]
+    tensors = [np.asarray(z, dtype="<f8", order="C") for z in trajectory]
     header = json.dumps({"version": TRAJECTORY_SCHEMA_VERSION, "shapes": [list(z.shape) for z in tensors]})
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii") + b"\n")
+    head = header.encode("ascii") + b"\n"
+    size = len(head) + sum(z.nbytes for z in tensors)
+    with open(path, "wb", buffering=min(size, WRITE_BUFFER_BYTES)) as fh:
+        fh.write(head)
         for z in tensors:
-            fh.write(z.tobytes())
+            fh.write(z.data)
 
 
-def load_trajectory(path: str) -> list:
-    """Read a version 3 file written by ``dump_trajectory``.
-
-    The first line must be a JSON object whose ``version`` is the int 3;
-    any other version, such as a one-line version 1 or 2 JSON document, is
-    a ``TrajectoryVersionError`` naming it. ``shapes`` must be a list of
-    lists of integers >= 0, and the payload after the newline exactly 8
-    bytes per value, checked before anything is allocated. Anything else is
-    a ``TrajectoryFormatError``. Returns fresh, writable, C-contiguous
-    float64 arrays, split from one copy of the payload.
-    """
-    with open(path, "rb") as fh:
-        content = fh.read()
-    newline = content.find(b"\n")
+def _header_shapes(line: bytes) -> list:
+    """The checked ``shapes`` of a file's first line, as ``load_trajectory`` describes."""
+    newline = line.endswith(b"\n")
     try:
-        header = json.loads((content[:newline] if newline >= 0 else content).decode("utf-8"))
+        header = json.loads((line[:-1] if newline else line).decode("utf-8"))
     except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
         raise TrajectoryFormatError(f"malformed trajectory header: {exc}") from exc
     if not isinstance(header, dict) or "version" not in header:
@@ -253,17 +252,46 @@ def load_trajectory(path: str) -> list:
     if type(version) is not int or version != TRAJECTORY_SCHEMA_VERSION:
         raise TrajectoryVersionError(
             f"unsupported version {version!r}: only version {TRAJECTORY_SCHEMA_VERSION} is read")
-    if newline < 0:
+    if not newline:
         raise TrajectoryFormatError("version 3 header line does not end in a newline")
     shapes = header.get("shapes")
     if type(shapes) is not list or not all(
             type(shape) is list and all(type(d) is int and d >= 0 for d in shape) for shape in shapes):
         raise TrajectoryFormatError("shapes must be a list of lists of integers >= 0")
-    counts = [math.prod(shape) for shape in shapes]
-    size = len(content) - newline - 1
-    if size != 8 * sum(counts):
-        raise TrajectoryFormatError(f"{size} payload bytes for {sum(counts)} values, expected {8 * sum(counts)}")
-    flat = np.frombuffer(content, dtype="<f8", offset=newline + 1).astype(np.float64)
+    return shapes
+
+
+def load_trajectory(path: str) -> list:
+    """Read a version 3 file written by ``dump_trajectory``.
+
+    Only a regular file is read: anything else (a FIFO, a directory) is a
+    ``TrajectoryFormatError`` raised before the path is opened. The first
+    line must be a JSON object whose ``version`` is the int 3; any other
+    version, such as a one-line version 1 or 2 JSON document, is a
+    ``TrajectoryVersionError`` naming it. ``shapes`` must be a list of
+    lists of integers >= 0, and the rest of the file exactly 8 bytes per
+    value, checked against the file's size before anything is allocated.
+    Anything else is a ``TrajectoryFormatError``. The payload is read once,
+    straight into one little-endian float64 array, so the peak is about the
+    payload; the returned fresh, writable, C-contiguous arrays are views
+    that split it.
+    """
+    info = os.stat(path)
+    if not stat.S_ISREG(info.st_mode):
+        raise TrajectoryFormatError(f"{os.fspath(path)!r} is not a regular file")
+    # A small read buffer: it holds the header line, and the payload is read past it.
+    with open(path, "rb", buffering=io.DEFAULT_BUFFER_SIZE) as fh:
+        line = fh.readline()
+        shapes = _header_shapes(line)
+        counts = [math.prod(shape) for shape in shapes]
+        total = sum(counts)
+        size = info.st_size - len(line)
+        if size != 8 * total:
+            raise TrajectoryFormatError(f"{size} payload bytes for {total} values, expected {8 * total}")
+        flat = np.empty(total, dtype="<f8")
+        read = fh.readinto(flat)
+        if read != size:  # the file shrank after it was sized
+            raise TrajectoryFormatError(f"{read} payload bytes for {total} values, expected {size}")
     tensors, start = [], 0
     for shape, count in zip(shapes, counts):
         try:

@@ -138,14 +138,16 @@ class TestToyModel:
             build_model(0).eval(np.zeros((2, 8, 8)), t, np.zeros(8))
 
     def test_invalid_dims_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="layer_count: must be >= 2, got 1"):
             build_model(0, layer_count=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="width: must be >= 2, got 1"):
             build_model(0, width=1)
-        with pytest.raises(ValueError, match="latent_dim must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="latent_dim: must be >= 1, got 0"):
             build_model(0, latent_dim=0)  # eval would return (frames, 0) velocities
-        with pytest.raises(ValueError, match="cond_dim must be >= 0, got -1"):
+        with pytest.raises(ValueError, match="cond_dim: must be >= 0, got -1"):
             build_model(0, cond_dim=-1)  # not NumPy's "negative dimensions are not allowed"
+        with pytest.raises(ValueError, match=re.escape("fusion_mode: must be one of ('baseline-add',")):
+            build_model(0, fusion_mode="nope")
 
 
 def _rebuilt(conditioning, layers=None, model=None):

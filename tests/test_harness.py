@@ -1,10 +1,13 @@
 import argparse
+import io
 import json
 import math
 import os
 import re
 import sys
 import tempfile
+import threading
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 from types import SimpleNamespace
 
@@ -15,6 +18,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from latentskip import harness, predictor
 from latentskip.cli import _add_run_flags, _load_config, main
+from latentskip.flow_model import build_model
 from latentskip.harness import (CSV_HEADER, ExperimentConfig, TrajectoryFormatError,
                                 TrajectoryVersionError, ablation_sweep, dump_trajectory,
                                 load_trajectory, reports_to_csv, run_experiment)
@@ -73,6 +77,22 @@ class TestRunExperiment:
         cfg = fast_cfg(steps=np.int64(4), anchor_spacing=np.int32(2), frame_shape=[np.int64(4), 4])
         assert cfg == fast_cfg(steps=4, anchor_spacing=2) and cfg.frame_shape == (4, 4)
         assert run_experiment(cfg).full_eval_count == 2
+
+    @pytest.mark.parametrize("field, value, param, model_value", [
+        ("layers", 1, "layer_count", 1),
+        ("width", 1, "width", 1),
+        ("cond_dim", -1, "cond_dim", -1),
+        ("fusion", "nope", "fusion_mode", "nope"),
+        ("frame_shape", (4, 0), "latent_dim", 0),
+    ], ids=["layers", "width", "cond_dim", "fusion", "frame_shape"])
+    def test_model_fields_keep_the_model_rules(self, field, value, param, model_value):
+        # One rule per model parameter, in flow_model: the config reports it under its own field name.
+        with pytest.raises(ValueError) as model_exc:
+            build_model(0, **{param: model_value})
+        with pytest.raises(ValueError) as config_exc:
+            fast_cfg(**{field: value})
+        requirement = str(model_exc.value).removeprefix(f"{param}: ")
+        assert str(config_exc.value) == f"{field}: {requirement}"
 
     def test_config_is_frozen_and_checked_on_replace(self):
         cfg = fast_cfg()
@@ -251,6 +271,75 @@ class TestTrajectoryIO:
         path.write_text(json.dumps({"version": 99, "tensors": []}))
         with pytest.raises(TrajectoryVersionError, match="unsupported version"):
             load_trajectory(path)
+
+    @pytest.mark.parametrize("frames", [16, 64])
+    def test_dump_writes_once_per_mib(self, tmp_path, monkeypatch, frames):
+        # Count the writes that reach the raw file, under the buffer harness asks open for.
+        writes = []
+
+        class CountingFileIO(io.FileIO):
+            def write(self, data):
+                writes.append(data)
+                return super().write(data)
+
+        def counting_open(path, mode, buffering=-1):
+            assert mode == "wb"
+            return io.BufferedWriter(CountingFileIO(path, "w"),
+                                     buffering if buffering > 1 else io.DEFAULT_BUFFER_SIZE)
+
+        path = tmp_path / "traj.bin"
+        trajectory = [np.full((frames, 8, 8), float(j)) for j in range(51)]
+        monkeypatch.setattr(harness, "open", counting_open, raising=False)
+        dump_trajectory(trajectory, path)
+        monkeypatch.undo()
+        size = path.stat().st_size
+        assert len(writes) <= math.ceil(size / 2**20) + 1
+        assert [np.array_equal(a, b) for a, b in zip(load_trajectory(path), trajectory)] == [True] * 51
+
+    def test_io_peak_memory(self, tmp_path):
+        # T=50, L=64: a load holds about the payload once, a dump no more than its write buffer.
+        def traced_peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        trajectory = [np.full((64, 8, 8), float(j)) for j in range(51)]
+        payload = sum(z.nbytes for z in trajectory)
+        path = tmp_path / "traj.bin"
+        loaded = []
+        dump_peak = traced_peak(lambda: dump_trajectory(trajectory, path))
+        load_peak = traced_peak(lambda: loaded.extend(load_trajectory(path)))
+        assert dump_peak <= min(path.stat().st_size, 2**20) + 2**14
+        assert load_peak <= 1.05 * payload
+        assert len(loaded) == 51 and np.array_equal(loaded[-1], trajectory[-1])
+
+    def test_only_regular_files_are_read(self, tmp_path):
+        # A FIFO would block an open until a writer came; it is refused before it is opened.
+        fifo = tmp_path / "traj.fifo"
+        os.mkfifo(fifo)
+        raised = []
+
+        def load():
+            try:
+                load_trajectory(fifo)
+            except Exception as exc:  # the main thread checks its class
+                raised.append(exc)
+
+        thread = threading.Thread(target=load, daemon=True)
+        thread.start()
+        thread.join(10)
+        if thread.is_alive():
+            with open(fifo, "wb"):  # releases the blocked open, so the thread can end
+                pass
+            thread.join(10)
+            pytest.fail("load_trajectory blocked on a FIFO")
+        assert len(raised) == 1 and isinstance(raised[0], TrajectoryFormatError)
+        assert "regular file" in str(raised[0])
+        with pytest.raises(TrajectoryFormatError, match="regular file"):
+            load_trajectory(tmp_path)
 
     def test_missing_version(self, tmp_path):
         path = tmp_path / "traj.json"
