@@ -102,6 +102,16 @@ def check_kinds(config) -> None:
                 raise ValueError(f"{f.name}: expected {expected}, got {value!r}")
 
 
+def check_rule(rule: tuple, value, name: str) -> None:
+    """A ValueError ``"<name>: <requirement>, got <value>"`` unless ``value`` keeps ``rule``.
+
+    ``rule`` is a (holds, requirement) pair: a predicate and its wording.
+    """
+    holds, requirement = rule
+    if not holds(value):
+        raise ValueError(f"{name}: {requirement}, got {value!r}")
+
+
 def relative_l2(a: np.ndarray, b: np.ndarray) -> float:
     """||a - b||2 / max(||b||2, EPS)."""
     a = np.asarray(a, dtype=np.float64)

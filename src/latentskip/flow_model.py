@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FeatureStats, SeededRng, check_kinds, mean, require_finite
-from .norm_fusion import FUSION_MODES, READS_IMAGE_MOMENTS, check_mode, image_moments, normalize_portrait
+from .core import FeatureStats, SeededRng, check_kinds, check_rule, mean, require_finite
+from .norm_fusion import (FUSION_MODES, MODE_RULE, READS_IMAGE_MOMENTS, check_mode, image_moments,
+                          normalize_portrait)
 # Bound under this name because perfbench/tracer.py times fusion by wrapping flow_model.fuse_streams.
 # The kernel runs unchecked: Conditioning checked its streams and moments once, when built.
 from .norm_fusion import fuse_kernel as fuse_streams
@@ -26,9 +27,10 @@ class LayerOutputs:
 
     ``per_layer[i]`` has shape (frames, layer_width); the last layer maps
     back to the frame feature width so ``final`` is a velocity with the
-    input latent's shape. A model evaluation gives a list; a predicted step
-    gives a read-only sequence that builds each hidden layer on its first
-    read (``predictor.PredictedLayers``).
+    input latent's shape. A model evaluation gives a list, its hidden layers
+    F-contiguous and its last layer C-contiguous (see ``ToyModel``); a
+    predicted step gives a read-only sequence that builds each hidden layer
+    on its first read (``predictor.PredictedLayers``).
     """
 
     per_layer: Sequence  # of np.ndarray, length == layer_count
@@ -72,13 +74,14 @@ class Conditioning:
     """One cond's step-invariant conditioning for ``frames`` frames, from ``ToyModel.condition``.
 
     ``layers[m]`` is layer m's triple (image stream, its moments, normalized
-    portrait stream), the streams of shape (frames, layer_width). No step
+    portrait stream), the streams feature-major, of shape (layer_width,
+    frames), as ``eval`` adds them to its layer products. No step
     changes either stream, so both streams' moments are taken once per
     window, and ``ToyModel.eval`` runs only the scale, shift and add of the
     fusion (``fuse_kernel``, unchecked) at every step. What the kernel
     needs is checked here, once, when the conditioning is built: a known
     fusion mode, one triple per layer of ``model``, both streams float64 of
-    shape (frames, layer_width), and the image moments present exactly for
+    shape (layer_width, frames), and the image moments present exactly for
     the modes in ``norm_fusion.READS_IMAGE_MOMENTS``. ``model`` is the model
     that built it; ``eval`` rejects a conditioning any other model built.
     """
@@ -98,7 +101,7 @@ class Conditioning:
             if len(layer) != 3:
                 raise ValueError(f"layer {m} holds {len(layer)} items, not (image stream, moments, portrait stream)")
             s_img, si, p = layer
-            shape = (self.frames, w["Abc"].shape[0])
+            shape = (w["Abc"].shape[0], self.frames)
             for name, stream in (("image", s_img), ("portrait", p)):
                 if not (isinstance(stream, np.ndarray) and stream.dtype == np.float64
                         and stream.shape == shape):
@@ -121,12 +124,17 @@ class ToyModel:
     streams do not depend on the step, so a sampler builds them once per
     window with ``condition`` and passes the result to every ``eval``.
 
-    Each layer stores A_m, b_m and c_m side by side in one Fortran-ordered
-    block ``Abc`` = [A | b | c] of shape (out, in + 2), so ``eval`` takes
-    A_m h + b_m + t*c_m as one product of [h | 1 | t] with ``Abc``.
-    The fields are frozen: a ``Conditioning`` is checked against its model
-    once, when built, so the model's fusion mode and layers must not change
-    under it.
+    Each layer stores A_m, b_m and c_m side by side in one C-ordered block
+    ``Abc`` = [A | b | c] of shape (out, in + 2). ``eval`` runs feature-major:
+    a layer's input is the column block [h; 1; t] of shape (in + 2, frames),
+    so A_m h + b_m + t*c_m is the one product ``Abc @ [h; 1; t]``. The hidden
+    outputs are written into one buffer per call, of shape
+    (layer_count - 1, width + 2, frames), whose blocks hold their (1, t)
+    rows last; each hidden output is its block's transpose, one F-contiguous
+    (frames, width) block, and the last layer is a C-contiguous
+    (frames, latent_dim) copy. The fields are frozen: a ``Conditioning`` is
+    checked against its model once, when built, so the model's fusion mode
+    and layers must not change under it.
     """
 
     layer_count: int
@@ -156,40 +164,42 @@ class ToyModel:
                              f"(fusion {self.fusion_mode!r}, {self.layer_count} layers)")
         elif cond.frames != len(z):
             raise ValueError(f"conditioning built for {cond.frames} frames, latent has {len(z)}")
-        # Each layer's input is [h | 1 | t], so one product [h | 1 | t] @ [A | b | c]^T is
-        # h A^T + b + t c. The hidden outputs are written, as views, into one buffer that
-        # already holds their (1, t) columns; the last layer's is its own array. The buffer
-        # is new at every call, because the predictor keeps an anchor's outputs.
+        # Feature-major: Abc @ [h; 1; t] is A h + b + t c, shape (out, frames). Each hidden
+        # output is written into the next block of one buffer, whose (1, t) rows are already
+        # set, and returned as that block's transpose; the last layer is copied out C-contiguous.
+        # The buffer is new at every call, because the predictor keeps an anchor's outputs.
         frames = len(z)
-        first = np.empty((frames, self.latent_dim + 2))
-        first[:, :-2] = z.reshape(frames, self.latent_dim)
-        first[:, -2:] = (1.0, t)
-        hidden = np.empty((self.layer_count - 1, frames, self.width + 2))
-        hidden[..., -2:] = (1.0, t)
+        first = np.empty((self.latent_dim + 2, frames))
+        first[:-2] = z.reshape(frames, self.latent_dim).T
+        first[-2], first[-1] = 1.0, t
+        hidden = np.empty((self.layer_count - 1, self.width + 2, frames))
+        hidden[:, -2], hidden[:, -1] = 1.0, t
         hin, outs = first, []
         for m, (w, (s_img, si, p)) in enumerate(zip(self.weights, cond.layers, strict=True)):
-            x = hin @ w["Abc"].T
+            x = w["Abc"] @ hin
             x += fuse_streams(s_img, si, p, self.fusion_mode)
             if m == self.layer_count - 1:
-                outs.append(np.tanh(x, out=x))
+                outs.append(np.tanh(x, out=x).T.copy())
             else:
                 hin = hidden[m]
-                outs.append(np.tanh(x, out=hin[:, :-2]))
+                outs.append(np.tanh(x, out=hin[:-2]).T)
         return LayerOutputs(outs, z.shape)
 
     def condition(self, cond, frames: int) -> Conditioning:
         """Project a shared (cond_dim,) or per-frame (frames, cond_dim) cond into every layer's streams.
 
-        Both streams' moments are taken here, once: the portrait stream is
-        normalized and the image stream's moments are kept. ``eval`` runs the
-        rest of the fusion.
+        Each stream is built feature-major, ``P @ cond2d.T`` of shape
+        (layer_width, frames), the layout of eval's layer products. Both
+        streams' moments are taken here, once: the portrait stream is
+        normalized and the image stream's moments are kept. ``eval`` runs
+        the rest of the fusion.
         """
-        cond2d = self._cond_frames(cond, frames)
+        cond2d_t = self._cond_frames(cond, frames).T
         layers = []
         for w in self.weights:
-            s_img = cond2d @ w["P_img"].T
+            s_img = w["P_img"] @ cond2d_t
             layers.append((s_img, image_moments(s_img, self.fusion_mode),
-                           normalize_portrait(cond2d @ w["P_p"].T, self.fusion_mode)))
+                           normalize_portrait(w["P_p"] @ cond2d_t, self.fusion_mode)))
         return Conditioning(frames, tuple(layers), self)
 
     def _cond_frames(self, cond, frames: int) -> np.ndarray:
@@ -210,7 +220,7 @@ MODEL_RULES = {
     "width": (lambda v: v >= 2, "must be >= 2"),
     "latent_dim": (lambda v: v >= 1, "must be >= 1"),
     "cond_dim": (lambda v: v >= 0, "must be >= 0"),
-    "fusion_mode": (lambda v: v in FUSION_MODES, f"must be one of {FUSION_MODES}"),
+    "fusion_mode": MODE_RULE,
 }
 
 
@@ -220,9 +230,7 @@ def check_model_param(param: str, value, name: str | None = None) -> None:
     ``param`` is a ``build_model`` parameter; ``name``, the field the caller
     reports, defaults to it.
     """
-    holds, requirement = MODEL_RULES[param]
-    if not holds(value):
-        raise ValueError(f"{name or param}: {requirement}, got {value!r}")
+    check_rule(MODEL_RULES[param], value, name or param)
 
 
 def build_model(seed: int, layer_count: int = 4, width: int = 32,
@@ -230,7 +238,9 @@ def build_model(seed: int, layer_count: int = 4, width: int = 32,
                 fusion_mode: str = "baseline-add") -> ToyModel:
     """Draw all weights from a single seeded stream, scaled by 1/sqrt(width).
 
-    Each parameter must keep its rule in ``MODEL_RULES``.
+    Each layer's A, b and c go into one C-ordered block ``Abc`` = [A | b | c],
+    the layout ``ToyModel.eval`` reads; ``A`` is a view of it. Each
+    parameter must keep its rule in ``MODEL_RULES``.
     """
     for param, value in (("layer_count", layer_count), ("width", width), ("latent_dim", latent_dim),
                          ("cond_dim", cond_dim), ("fusion_mode", fusion_mode)):
@@ -241,8 +251,8 @@ def build_model(seed: int, layer_count: int = 4, width: int = 32,
     for m in range(layer_count):
         in_dim = latent_dim if m == 0 else width
         out_dim = latent_dim if m == layer_count - 1 else width
-        # [A | b | c], Fortran-ordered: eval's one product per layer reads its transpose unrepacked.
-        abc = np.empty((out_dim, in_dim + 2), order="F")
+        # [A | b | c], C-ordered: eval's one product per layer, Abc @ [h; 1; t], reads it unrepacked.
+        abc = np.empty((out_dim, in_dim + 2))
         abc[:, :in_dim] = rng.normal((out_dim, in_dim)) * scale
         abc[:, in_dim] = rng.normal(out_dim) * scale
         abc[:, in_dim + 1] = rng.normal(out_dim) * scale

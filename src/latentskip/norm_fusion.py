@@ -17,16 +17,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import EPS, FeatureStats, stats
+from .core import EPS, FeatureStats, check_rule, stats
 
 FUSION_MODES = ("baseline-add", "pure-norm", "centralization", "ours")
 # The modes whose fusion reads the image stream's moments; the others add the image stream as is.
 READS_IMAGE_MOMENTS = ("ours", "centralization")
+# The fusion-mode rule, (holds, requirement): check_mode and flow_model.MODEL_RULES both apply it.
+MODE_RULE = (lambda mode: mode in FUSION_MODES, f"must be one of {FUSION_MODES}")
 
 
 def check_mode(mode: str) -> None:
-    if mode not in FUSION_MODES:
-        raise ValueError(f"unknown fusion mode {mode!r}")
+    check_rule(MODE_RULE, mode, "fusion_mode")
 
 
 def normalize_portrait(z_p: np.ndarray, mode: str = "ours") -> np.ndarray:

@@ -156,7 +156,7 @@ def layer_weight(table: DiffTable, layer: int, order: int) -> float:
 
 def extrapolate_layer(diffs: list, terms: list) -> np.ndarray:
     """diffs[0] + sum_i diffs[i] * num_i / den_i over the (num_i, den_i) of orders 1..m."""
-    acc = diffs[0].copy()
+    acc = diffs[0].copy(order="K")  # in the layer's own layout: eval's hidden outputs are F-ordered
     for i, (num, den) in enumerate(terms, start=1):
         acc += diffs[i] * num / den
     return acc

@@ -217,7 +217,7 @@ class TestConditioningChecks:
     def test_unknown_mode_rejected(self):
         model = small_model()
         odd = ToyModel(model.layer_count, model.width, model.latent_dim, model.cond_dim, "nope", model.weights)
-        with pytest.raises(ValueError, match="unknown fusion mode 'nope'"):
+        with pytest.raises(ValueError, match=re.escape("fusion_mode: must be one of ('baseline-add',")):
             _rebuilt(model.condition(np.ones(4), 2), model=odd)
 
     def test_model_fields_cannot_change_under_a_conditioning(self):
@@ -254,15 +254,18 @@ def _layer_inputs(model, z, cond):
 def reference_eval(model, z, t, cond):
     """ToyModel.eval written as one expression per layer: the values eval must reproduce bitwise.
 
-    The layer's pre-activation is one product of the augmented input [h | 1 | t] with [A | b | c].
+    Activations run feature-major: the layer's pre-activation is one product of [A | b | c] with
+    the augmented input [h^T; 1; t], each stream one product P @ cond^T.
     """
     h, cond2d = _layer_inputs(model, z, cond)
+    frames = len(h)
+    h = h.T
     outs = []
     for w in model.weights:
-        fused = reference_fuse(cond2d @ w["P_img"].T, cond2d @ w["P_p"].T, model.fusion_mode)
-        augmented = np.concatenate([h, np.ones((len(h), 1)), np.full((len(h), 1), t)], axis=1)
-        h = np.tanh(augmented @ w["Abc"].T + fused)
-        outs.append(h)
+        fused = reference_fuse(w["P_img"] @ cond2d.T, w["P_p"] @ cond2d.T, model.fusion_mode)
+        augmented = np.concatenate([h, np.ones((1, frames)), np.full((1, frames), t)])
+        h = np.tanh(w["Abc"] @ augmented + fused)
+        outs.append(h.T)
     return outs
 
 
@@ -336,12 +339,33 @@ def test_eval_returns_fresh_memory(shape):
 @pytest.mark.parametrize("shape", [{}, {"layer_count": 2, "width": 2, "latent_dim": 3, "cond_dim": 0},
                                    {"layer_count": 16, "width": 128}])
 def test_weights_a_are_stored_in_the_layout_eval_reads(shape):
-    # eval multiplies by Abc.T: stored Fortran-ordered, Abc.T is C-contiguous, and BLAS reads it unrepacked.
+    # eval multiplies Abc @ [h; 1; t]: stored C-ordered, Abc is read by BLAS unrepacked.
     for w in build_model(0, **shape).weights:
-        assert w["Abc"].flags.f_contiguous and w["Abc"].T.flags.c_contiguous
-        assert w["A"].flags.f_contiguous and w["A"].T.flags.c_contiguous
+        assert w["Abc"].flags.c_contiguous
         # A is a view of the block eval reads, so no reader sees stale weights.
         assert np.shares_memory(w["A"], w["Abc"]) and np.array_equal(w["A"], w["Abc"][:, :-2])
+
+
+@pytest.mark.parametrize("shape", [{}, {"layer_count": 2, "width": 2, "latent_dim": 3, "cond_dim": 0},
+                                   {"layer_count": 16, "width": 128}])
+@pytest.mark.parametrize("fusion", FUSION_MODES)
+def test_activations_are_contiguous_blocks(shape, fusion):
+    # Activations run feature-major, so every hidden output is one F-contiguous (frames, width) block,
+    # a view of the call's one buffer, and the final layer is C-contiguous, as the Euler step reads it.
+    model = build_model(0, fusion_mode=fusion, **shape)
+    z, cond = _random_inputs(0, 3, model.latent_dim, model.cond_dim, False)
+    conditioning = model.condition(cond, 3)
+    *hidden, final = model.eval(z, 0.7, conditioning).per_layer
+    buffer = hidden[0].base
+    assert buffer is not None and buffer.shape == (model.layer_count - 1, model.width + 2, 3)
+    for h in hidden:
+        assert h.shape == (3, model.width) and h.flags.f_contiguous and not h.flags.c_contiguous
+        assert h.base is buffer
+    assert final.shape == (3, model.latent_dim) and final.flags.c_contiguous and final.flags.owndata
+    # The streams are feature-major too: eval adds each to its layer's (width, frames) product.
+    for w, (s_img, _, p) in zip(model.weights, conditioning.layers):
+        for stream in (s_img, p):
+            assert stream.shape == (w["Abc"].shape[0], 3) and stream.flags.c_contiguous
 
 
 @settings(max_examples=60, deadline=None)
@@ -350,15 +374,15 @@ def test_weights_a_are_stored_in_the_layout_eval_reads(shape):
        cond_dim=st.integers(0, 9), shared=st.booleans(), t=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
 def test_weight_layout_changes_only_rounding(fusion, layers, width, latent_dim, frames, cond_dim, shared, t, seed):
     model = build_model(seed, layers, width, latent_dim, cond_dim, fusion)
-    # eval reads only the block, so the variant swaps in a C-ordered copy of the block itself.
-    c_ordered = dataclasses.replace(model, weights=[{**w, "Abc": np.array(w["Abc"], order="C")}
+    # eval reads only the block, so the variant swaps in an F-ordered copy of the block itself.
+    f_ordered = dataclasses.replace(model, weights=[{**w, "Abc": np.array(w["Abc"], order="F")}
                                                     for w in model.weights])
-    for w, v in zip(model.weights, c_ordered.weights):
+    for w, v in zip(model.weights, f_ordered.weights):
         # A one-row block (latent_dim 1, last layer) is both C- and F-contiguous; hidden blocks never are.
-        assert v["Abc"].flags.c_contiguous and (v["Abc"].shape[0] == 1 or not v["Abc"].flags.f_contiguous)
+        assert v["Abc"].flags.f_contiguous and (v["Abc"].shape[0] == 1 or not v["Abc"].flags.c_contiguous)
         assert np.array_equal(v["Abc"], w["Abc"]) and not np.shares_memory(v["Abc"], w["Abc"])
     z, cond = _random_inputs(seed, frames, latent_dim, cond_dim, shared)
-    got, ref = model.eval(z, t, cond).per_layer, c_ordered.eval(z, t, cond).per_layer
+    got, ref = model.eval(z, t, cond).per_layer, f_ordered.eval(z, t, cond).per_layer
     assert len(got) == len(ref) == layers
     for g, r in zip(got, ref):
         assert np.max(np.abs(g - r)) <= 1e-12

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,11 +97,13 @@ class TestNormalizeFuse:
             normalize_fuse(z_img, z_p, "nope")
 
     def test_halves_reject_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown fusion mode 'nope'"):
+        # The wording of flow_model.MODEL_RULES, which holds the same rule.
+        message = re.escape(f"fusion_mode: must be one of {FUSION_MODES}, got 'nope'")
+        with pytest.raises(ValueError, match=message):
             normalize_portrait(np.ones(3), "nope")
-        with pytest.raises(ValueError, match="unknown fusion mode 'nope'"):
+        with pytest.raises(ValueError, match=message):
             image_moments(np.ones(3), "nope")
-        with pytest.raises(ValueError, match="unknown fusion mode 'nope'"):
+        with pytest.raises(ValueError, match=message):
             normalize_fuse(np.ones(3), np.ones(3), "nope")
         with pytest.raises(ValueError, match="shape mismatch"):
             normalize_fuse(np.zeros(3), np.zeros(4), "ours")
