@@ -33,6 +33,9 @@ MODEL_FIELDS = (("cond_dim", "cond_dim"), ("layers", "layer_count"), ("width", "
 TRAJECTORY_SCHEMA_VERSION = 3
 # dump_trajectory's write buffer is at most this, so a dump holds no more than it on top of the latents.
 WRITE_BUFFER_BYTES = 1 << 20
+# The longest header line a trajectory file may have, newline included: about 87k [16, 8, 8] shapes.
+# load_trajectory reads no further for the line, and dump_trajectory refuses a longer one.
+HEADER_LIMIT_BYTES = 1 << 20
 
 
 class TrajectoryFormatError(ValueError):
@@ -227,11 +230,14 @@ def dump_trajectory(trajectory: list, path: str):
     Each latent's own memory (a C-contiguous little-endian float64 copy only
     when it is not one already) goes through one buffered writer of at most
     ``WRITE_BUFFER_BYTES`` and no larger than the file, so a file that fits
-    the buffer is one write.
+    the buffer is one write. A header line longer than ``HEADER_LIMIT_BYTES``
+    is a ValueError, raised before the path is opened.
     """
     tensors = [np.asarray(z, dtype="<f8", order="C") for z in trajectory]
     header = json.dumps({"version": TRAJECTORY_SCHEMA_VERSION, "shapes": [list(z.shape) for z in tensors]})
     head = header.encode("ascii") + b"\n"
+    if len(head) > HEADER_LIMIT_BYTES:
+        raise ValueError(f"header line of {len(head)} bytes: load_trajectory reads at most {HEADER_LIMIT_BYTES}")
     size = len(head) + sum(z.nbytes for z in tensors)
     with open(path, "wb", buffering=min(size, WRITE_BUFFER_BYTES)) as fh:
         fh.write(head)
@@ -266,9 +272,11 @@ def load_trajectory(path: str) -> list:
 
     Only a regular file is read: anything else (a FIFO, a directory) is a
     ``TrajectoryFormatError`` raised before the path is opened. The first
-    line must be a JSON object whose ``version`` is the int 3; any other
-    version, such as a one-line version 1 or 2 JSON document, is a
-    ``TrajectoryVersionError`` naming it. ``shapes`` must be a list of
+    line is read up to ``HEADER_LIMIT_BYTES`` and no further: it must end
+    in a newline within them and be a JSON object whose ``version`` is the
+    int 3. Any other version, such as a one-line version 1 or 2 JSON
+    document shorter than that limit, is a ``TrajectoryVersionError``
+    naming it. ``shapes`` must be a list of
     lists of integers >= 0, and the rest of the file exactly 8 bytes per
     value, checked against the file's size before anything is allocated.
     Anything else is a ``TrajectoryFormatError``. The payload is read once,
@@ -281,7 +289,10 @@ def load_trajectory(path: str) -> list:
         raise TrajectoryFormatError(f"{os.fspath(path)!r} is not a regular file")
     # A small read buffer: it holds the header line, and the payload is read past it.
     with open(path, "rb", buffering=io.DEFAULT_BUFFER_SIZE) as fh:
-        line = fh.readline()
+        line = fh.readline(HEADER_LIMIT_BYTES)
+        if len(line) == HEADER_LIMIT_BYTES and not line.endswith(b"\n"):
+            raise TrajectoryFormatError(f"no newline in the first {HEADER_LIMIT_BYTES} bytes: "
+                                        "the header line is longer than HEADER_LIMIT_BYTES")
         shapes = _header_shapes(line)
         counts = [math.prod(shape) for shape in shapes]
         total = sum(counts)

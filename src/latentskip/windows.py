@@ -1,12 +1,12 @@
 """Weighted sliding windows over long latent sequences, and the one sampling loop.
 
 Long sequences are denoised as overlapping context windows. At every
-denoising step each window advances independently, by a model evaluation
-on the oracle path or through its own ``PredictorState`` (anchors and
-extrapolation) on the accelerated one, then its leading overlap frames are
-blended with the previous window's trailing frames under a linear 0..1
-ramp. ``sample_full`` and ``sample_accelerated`` are ``run_long`` over a
-single window.
+denoising step each window gives its frames' velocity, from a model
+evaluation (oracle) or its own ``PredictorState`` (accelerated); its head
+overlap is blended with the previous window's tail under a linear 0..1
+ramp, and the sequence takes one Euler step. All windows step from one
+latent, so this equals blending their stepped latents. ``sample_full``
+and ``sample_accelerated`` are ``run_long`` over a single window.
 """
 
 from __future__ import annotations
@@ -86,14 +86,15 @@ def blend_overlap(prev_tail: np.ndarray, cur_head: np.ndarray, weights: np.ndarr
 
 def run_long(model, z_T_full: np.ndarray, cond_full, plan: WindowPlan,
              sampler_cfg, predictor_cfg: PredictorConfig | None = None):
-    """Denoise a length-L sequence window by window with per-step blending.
+    """Denoise a length-L sequence window by window, one Euler step per denoising step.
 
     Without a ``predictor_cfg`` every window evaluates the model at every
     step (the oracle); with one, each window steps through its own
-    ``PredictorState``. Within each step, windows are advanced left to right
-    from the previous step's state; each window's head overlap is blended
-    against the previous window's pre-blend tail from the same step. The
-    first window and the first step skip blending. Frames run along the
+    ``PredictorState``. At each step the windows, left to right on the same
+    latent, fill one velocity array; a window's head overlap blends its
+    velocity with the previous window's raw tail (not at the first window
+    or step, where the later window's velocity is kept). The sequence then
+    takes one Euler step, ``z - dt * vel``. Frames run along the
     first axis of ``z_T_full`` and of a 2-D ``cond_full``, which is sliced
     once per window; a 1-D (shared) cond, or None, is every window's cond. A model with a ``condition(cond, frames)``
     method (``ToyModel``) gets each window's cond through it once, before
@@ -101,13 +102,13 @@ def run_long(model, z_T_full: np.ndarray, cond_full, plan: WindowPlan,
     other model gets the cond itself. Returns (trajectory, evals_per_window).
     NaN or inf in either input, a latent with no frames, or a 2-D cond without
     one row per frame is a ValueError, raised before any evaluation, as is
-    any error ``condition`` raises. A trajectory that turns NaN or inf, from
-    an evaluation, an extrapolation or an Euler step that overflows float64,
-    is a ValueError naming its first non-finite latent, with no
-    RuntimeWarning on the way: the loop runs under one ``np.errstate``, its
-    Euler steps are the unguarded kernel (``dt`` comes from
-    ``sampler_cfg.timesteps()``), and the latents are checked once, at the
-    end.
+    any error ``condition`` raises, and so is a velocity whose shape is not
+    its window's. A trajectory that turns NaN or inf, from an evaluation,
+    an extrapolation or an Euler step that overflows float64, is a
+    ValueError naming its first non-finite latent, with no RuntimeWarning
+    on the way: the loop runs under one ``np.errstate``, its Euler step is
+    the unguarded kernel (``dt`` comes from ``sampler_cfg.timesteps()``),
+    and the latents are checked once, at the end.
     """
     z = np.array(z_T_full, dtype=np.float64)
     if latent_frames(z) != plan.total:
@@ -130,21 +131,19 @@ def run_long(model, z_T_full: np.ndarray, cond_full, plan: WindowPlan,
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(sampler_cfg.steps):
             t, dt = float(ts[j]), float(ts[j] - ts[j + 1])
-            new_z = np.empty_like(z)  # the spans cover every frame
-            prev_tail = None
+            vel = np.empty_like(z)  # the spans cover every frame
             for wi, ((s, e), cond) in enumerate(zip(plan.spans, conds)):
                 zi = z[s:e]
-                out = model.eval(zi, t, cond) if states is None else states[wi].step(model, zi, t, cond, j)
-                stepped = euler_step(zi, out.final, dt)
-                cur_tail = stepped[len(stepped) - v:].copy()  # pre-blend tail; empty at v = 0, where -v is 0
+                vi = (model.eval(zi, t, cond) if states is None else states[wi].step(model, zi, t, cond, j)).final
+                if vi.shape != zi.shape:
+                    raise ValueError(f"window {wi}'s velocity has shape {vi.shape}, its latent {zi.shape}")
+                vel[s:e] = vi
                 if wi > 0 and j > 0:
-                    stepped[:v] = blend_overlap(prev_tail, stepped[:v], weights)
-                new_z[s:e] = stepped
-                prev_tail = cur_tail
-            z = new_z
+                    vel[s:s + v] = blend_overlap(prev_tail, vi[:v], weights)
+                prev_tail = vi[len(vi) - v:]  # the raw tail, a view nothing writes; empty at v = 0
+            z = euler_step(z, vel, dt)
             trajectory.append(z)
-    # Each frame is an Euler step of the same frame of the latent before, then at most a blend with
-    # weights in [0, 1], so a NaN or inf in any latent survives to the last: one check covers them all.
+    # Each latent is the one before minus dt times a convex blend of velocities: one check covers them all.
     if not np.isfinite(z).all():
         bad = next(i for i, zi in enumerate(trajectory) if not np.isfinite(zi).all())
         raise ValueError(f"trajectory latent {bad} is not finite: "

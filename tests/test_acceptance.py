@@ -13,7 +13,7 @@ from latentskip.cli import main
 from latentskip.core import SeededRng, relative_l2, stats
 from latentskip.flow_model import (LayerOutputs, MaskPair, SamplerConfig, build_model,
                                    masked_recon_loss, velocity_loss)
-from latentskip.harness import load_trajectory
+from latentskip.harness import ExperimentConfig, load_trajectory
 from latentskip.norm_fusion import normalize_fuse
 from latentskip.predictor import AnchorCache, PredictorConfig, SigmaHistory, finite_differences, predict
 from latentskip.windows import (blend_overlap, blend_weights, plan_windows, run_long, sample_accelerated,
@@ -219,6 +219,36 @@ def test_criterion_10_cli_determinism(tmp_path):
     for a, b in zip(traj, load_trajectory(round_trip)):
         assert np.array_equal(a, b)
     announce(10, "fixed-seed CLI runs are bitwise identical; trajectory dump round-trips bitwise")
+
+
+def test_criterion_11_beats_equal_evaluation_baseline():
+    # The accelerated path makes ceil(T/K) evaluations; the oracle run at that many steps is the
+    # cheapest sampler with the same budget. Extrapolation must track the T-step oracle better than it.
+    # Order 0 holds the anchor's velocity for K steps, which is exactly that sampler when K divides T.
+    base = ExperimentConfig()
+    errs = {}
+    for seed in range(5):
+        model = build_model(seed, base.layers, base.width, latent_dim=int(np.prod(base.frame_shape)),
+                            cond_dim=base.cond_dim, fusion_mode=base.fusion)
+        inputs = SeededRng(seed + 1)  # run_experiment's inputs for this seed
+        z, cond = inputs.normal((base.frames, *base.frame_shape)), inputs.normal((base.frames, base.cond_dim))
+        oracle, _ = run_long(model, z, cond, base.plan, base.sampler)
+        for spacing, order in [(5, 3), (10, 3), (16, 3), (25, 2)]:
+            accel, _ = run_long(model, z, cond, base.plan, base.sampler, PredictorConfig(spacing, order, base.alpha))
+            fewer, _ = run_long(model, z, cond, base.plan, SamplerConfig(math.ceil(base.steps / spacing)))
+            errs.setdefault(spacing, []).append((relative_l2(accel[-1], oracle[-1]),
+                                                 relative_l2(fewer[-1], oracle[-1])))
+        for spacing in (2, 5, 10, 25):
+            held, _ = run_long(model, z, cond, base.plan, base.sampler,
+                               PredictorConfig(spacing, 0, dynamics_enabled=False))
+            fewer, _ = run_long(model, z, cond, base.plan, SamplerConfig(base.steps // spacing))
+            assert len(held[::spacing]) == len(fewer)
+            assert all(np.max(np.abs(a - b)) <= 1e-12 for a, b in zip(held[::spacing], fewer))
+    margins = {k: np.mean([f for _, f in e]) / np.mean([a for a, _ in e]) for k, e in errs.items()}
+    assert margins[5] >= 2 and margins[10] >= 2 and margins[16] >= 2 and margins[25] > 1
+    announce(11, "extrapolation beats the oracle at ceil(T/K) steps by "
+             + ", ".join(f"{m:.2f}x (K={k})" for k, m in margins.items())
+             + "; order 0 matches it at every anchor within 1e-12")
 
 
 def test_criterion_1_runtime_budget():

@@ -165,8 +165,8 @@ def _with_layer(conditioning, m, **changes):
 
 
 class TestConditioningChecks:
-    # eval runs the fusion kernel, which checks nothing: a (1, width) stream would broadcast silently
-    # over the frames, and absent moments would fail deep in the arithmetic. A Conditioning is checked
+    # eval runs the fusion kernel, which checks nothing: a (layer_width, 1) stream would broadcast
+    # silently over the frames, and absent moments would fail deep in the arithmetic. A Conditioning is checked
     # once, when built, by hand as much as by ToyModel.condition.
     @pytest.mark.parametrize("fusion", FUSION_MODES)
     def test_built_by_condition_passes_and_rebuilds(self, fusion):
@@ -174,9 +174,9 @@ class TestConditioningChecks:
         assert _rebuilt(conditioning).layers == conditioning.layers
 
     @pytest.mark.parametrize("stream", ["s_img", "p"])
-    @pytest.mark.parametrize("bad", [lambda a: a[:1], lambda a: a[:, :-1], lambda a: a.T, lambda a: a[0],
-                                     lambda a: a.astype(np.float32), lambda a: a.tolist()],
-                             ids=["one-frame", "narrow", "transposed", "1-d", "float32", "list"])
+    @pytest.mark.parametrize("bad", [lambda a: a[:1], lambda a: a[:, :-1], lambda a: a[:, :1], lambda a: a.T,
+                                     lambda a: a[0], lambda a: a.astype(np.float32), lambda a: a.tolist()],
+                             ids=["one-row", "frame-short", "one-frame", "transposed", "1-d", "float32", "list"])
     @pytest.mark.parametrize("m", [0, 3])
     def test_wrong_stream_rejected(self, stream, bad, m):
         conditioning = small_model(fusion_mode="ours").condition(SeededRng(1).normal((3, 4)), 3)
@@ -441,6 +441,17 @@ def test_masked_recon_loss_rejects_non_finite(bad, target):
     args = {"z_gt": np.ones(3), "z_eps": np.zeros(3), target: _holding(bad)}
     with pytest.raises(ValueError, match=f"{target} contains NaN or inf"):
         masked_recon_loss(args["z_gt"], args["z_eps"], MaskPair(np.zeros(3), np.zeros(3)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: forward_diffuse(np.zeros(3), np.zeros(4), 0.5),
+    lambda: velocity_loss(np.zeros(3), np.zeros(3), np.zeros((1, 3))),
+    lambda: masked_recon_loss(np.zeros(3), np.zeros(3), MaskPair(np.zeros(3), np.zeros(2))),
+], ids=["forward_diffuse", "velocity_loss", "masked_recon_loss"])
+def test_shape_mismatch_rejected(call):
+    # (3,) against (1, 3) would broadcast; the check refuses any shape but the first argument's.
+    with pytest.raises(ValueError, match="shape mismatch"):
+        call()
 
 
 BIG = np.array([1e200])

@@ -19,7 +19,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from latentskip import harness, predictor
 from latentskip.cli import _add_run_flags, _load_config, main
 from latentskip.flow_model import build_model
-from latentskip.harness import (CSV_HEADER, ExperimentConfig, TrajectoryFormatError,
+from latentskip.harness import (CSV_HEADER, HEADER_LIMIT_BYTES, ExperimentConfig, TrajectoryFormatError,
                                 TrajectoryVersionError, ablation_sweep, dump_trajectory,
                                 load_trajectory, reports_to_csv, run_experiment)
 
@@ -126,7 +126,8 @@ class TestAblation:
         ({"K": []}, "grid K: expected a non-empty list, got []"),  # would run no cell
         ({"fusion": "ours"}, "grid fusion: expected a non-empty list, got 'ours'"),  # one cell per letter
         ({"fusion": ["ours", "ours"]}, "grid fusion: repeated value 'ours'"),  # one cell run twice
-    ], ids=["int", "empty", "string", "repeated"])
+        ({"K": [2], "bogus": [1]}, "unknown grid keys: ['bogus']"),  # no cell would vary it
+    ], ids=["int", "empty", "string", "repeated", "unknown-key"])
     def test_grid_value_must_be_a_non_empty_list(self, grid, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             ablation_sweep(fast_cfg(), grid)
@@ -316,6 +317,36 @@ class TestTrajectoryIO:
         assert load_peak <= 1.05 * payload
         assert len(loaded) == 51 and np.array_equal(loaded[-1], trajectory[-1])
 
+    def test_header_read_is_bounded(self, tmp_path):
+        # No newline in a file 8x HEADER_LIMIT_BYTES: refused once the limit is read, not the file.
+        path = tmp_path / "traj.bin"
+        path.write_bytes(b'{"version": 3, "shapes": [' + b" " * (8 * HEADER_LIMIT_BYTES))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TrajectoryFormatError, match=f"no newline in the first {HEADER_LIMIT_BYTES} bytes"):
+                load_trajectory(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * HEADER_LIMIT_BYTES + 2**16  # the line and the chunks it is joined from
+
+    def test_header_limit_is_inclusive(self, tmp_path):
+        # A header line of exactly HEADER_LIMIT_BYTES, newline included, is read; one byte more is not.
+        path, body = tmp_path / "traj.bin", b'{"version": 3, "shapes": []'
+        fill = HEADER_LIMIT_BYTES - len(body) - 2  # "}\n" ends the line
+        path.write_bytes(body + b" " * fill + b"}\n")
+        assert load_trajectory(path) == []
+        path.write_bytes(body + b" " * (fill + 1) + b"}\n")
+        with pytest.raises(TrajectoryFormatError, match="longer than HEADER_LIMIT_BYTES"):
+            load_trajectory(path)
+
+    def test_dump_refuses_a_header_load_would_not_read(self, tmp_path):
+        # 50k zero-size latents of shape (0, 10**15): 23 header bytes each, over 1 MiB in all.
+        path = tmp_path / "traj.bin"
+        with pytest.raises(ValueError, match=f"load_trajectory reads at most {HEADER_LIMIT_BYTES}"):
+            dump_trajectory([np.empty((0, 10**15))] * 50_000, path)
+        assert not path.exists()
+
     def test_only_regular_files_are_read(self, tmp_path):
         # A FIFO would block an open until a writer came; it is refused before it is opened.
         fifo = tmp_path / "traj.fifo"
@@ -395,6 +426,12 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert len(lines) == 5
 
+    def test_ablate_prints_csv_without_out(self, capsys):
+        assert main(["ablate", "-T", "4", "-L", "8", "--window", "8", "--grid-dynamics", "on,off"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ",".join(CSV_HEADER)
+        assert sorted(line.split(",")[0] for line in lines[1:]) == ["ours", "ours-nodyn"]
+
     def test_invalid_config_exits_nonzero(self, capsys):
         assert main(["sample", "-K", "0"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -422,6 +459,7 @@ class TestCli:
         (["sample"], "x", "cfg.json must hold a JSON object"),
         (["sample"], 3, "cfg.json must hold a JSON object"),
         (["sample"], {"seed": 1.5}, "seed: expected an integer"),
+        (["sample"], {"repetitions": 0}, "repetitions: must be >= 1"),
     ])
     def test_malformed_input_exits_2(self, tmp_path, capsys, argv, config, message):
         cfg_path = tmp_path / "cfg.json"

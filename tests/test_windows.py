@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latentskip import norm_fusion, predictor
+from latentskip import norm_fusion, predictor, windows
 from latentskip.core import SeededRng
 from latentskip.flow_model import FUSION_MODES, LayerOutputs, SamplerConfig, build_model, euler_step
 from latentskip.predictor import PredictorConfig
@@ -116,6 +116,11 @@ class TestBlend:
         with pytest.raises(ValueError):
             blend_overlap(np.zeros(4), np.zeros(5), blend_weights(5))
 
+    @pytest.mark.parametrize("overlap", [1, 0])
+    def test_ramp_needs_two_frames(self, overlap):
+        with pytest.raises(ValueError, match=re.escape("overlap must be >= 2 for a 0..1 ramp")):
+            blend_weights(overlap)
+
 
 class TestRunLong:
     @pytest.fixture
@@ -179,6 +184,29 @@ class TestRunLong:
         predicted_steps = cfg.steps - evals[0]
         assert len(plan.spans) == 4 and predicted_steps == 8
         assert len(calls) == predicted_steps * len(plan.spans)
+
+    @pytest.mark.parametrize("pcfg", [None, PredictorConfig(2, 1)], ids=["oracle", "accelerated"])
+    def test_one_euler_step_per_denoising_step(self, monkeypatch, pcfg):
+        # The windows' velocities are blended into one array over every frame, which takes one
+        # Euler step: T calls over T steps, not one per window per step.
+        model = build_model(0, layer_count=3, width=8, latent_dim=6, cond_dim=4)
+        rng = SeededRng(1)
+        z, cond = rng.normal((28, 6)), rng.normal((28, 4))
+        plan, cfg = plan_windows(28, 9, 5), SamplerConfig(steps=10)
+        original, calls = windows.euler_step, []
+        monkeypatch.setattr(windows, "euler_step", lambda *args: calls.append(args[0].shape) or original(*args))
+        trajectory, _ = run_long(model, z, cond, plan, cfg, pcfg)
+        assert len(plan.spans) == 6
+        assert calls == [(28, 6)] * cfg.steps and len(trajectory) == cfg.steps + 1
+
+    @pytest.mark.parametrize("frames", [1, 8])
+    def test_velocity_of_another_shape_rejected(self, frames):
+        # A one-frame velocity would broadcast over its window's frames; the loop names the window.
+        model = ConstantVelocityModel(1.0, frames)
+        z, cfg = SeededRng(1).normal((21, 6)), SamplerConfig(steps=2)
+        with pytest.raises(ValueError, match=re.escape(f"window 0's velocity has shape ({frames}, 6), "
+                                                       "its latent (9, 6)")):
+            run_long(model, z, np.zeros(4), plan_windows(21, 9, 5), cfg)
 
     def test_length_mismatch(self, setup):
         model, z, cond = setup
@@ -361,7 +389,7 @@ class NaNInjectingModel:
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_nan_evaluation_raises_or_is_overwritten(data):
-    # window < 2 * overlap is drawn too: a window's blended head and pre-blend tail then share frames.
+    # window < 2 * overlap is drawn too: a window's blended head and raw tail then share frames.
     window = data.draw(st.integers(3, 9), label="window")
     overlap = data.draw(st.integers(2, window - 1), label="overlap")
     total = data.draw(st.integers(window, 16), label="total")
@@ -377,7 +405,7 @@ def test_nan_evaluation_raises_or_is_overwritten(data):
     z, cond = rng.normal((total, 6)), rng.normal((total, 4))
     # The NaN reaches the step's latent unless a later window overwrites its frame: at step 0,
     # where nothing is blended, the next window does; after it, the window after next does, with a
-    # blend of the next window's pre-blend tail. A predictor may carry an overwritten NaN on.
+    # blend of the next window's raw tail. A predictor may carry an overwritten NaN on.
     later = wi + (1 if step == 0 else 2)
     survives = later >= len(plan.spans) or s + frame < plan.spans[later][0]
     try:  # under pytest's error::RuntimeWarning filter: the NaN must surface as the ValueError alone
@@ -426,13 +454,17 @@ def test_overflowing_extrapolation_raises():
 
 
 class ConstantVelocityModel:
-    """Returns the same finite velocity at every step, so only an Euler step can overflow."""
+    """Returns the same finite velocity at every step, so only an Euler step can overflow.
 
-    def __init__(self, velocity):
-        self.velocity = velocity
+    Given ``frames``, the velocity has that many frames whatever the latent's.
+    """
+
+    def __init__(self, velocity, frames=None):
+        self.velocity, self.frames = velocity, frames
 
     def eval(self, z, t, cond):
-        return LayerOutputs([np.full(z.shape, self.velocity)], z.shape)
+        shape = z.shape if self.frames is None else (self.frames, *z.shape[1:])
+        return LayerOutputs([np.full(shape, self.velocity)], shape)
 
 
 @pytest.mark.parametrize("pcfg", [None, PredictorConfig(2, 1)], ids=["oracle", "accelerated"])
