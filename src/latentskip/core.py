@@ -102,6 +102,11 @@ def check_kinds(config) -> None:
                 raise ValueError(f"{f.name}: expected {expected}, got {value!r}")
 
 
+def at_least(n) -> tuple:
+    """The rule ``value >= n``, for ``check_rule``."""
+    return (lambda v: v >= n, f"must be >= {n}")
+
+
 def check_rule(rule: tuple, value, name: str) -> None:
     """A ValueError ``"<name>: <requirement>, got <value>"`` unless ``value`` keeps ``rule``.
 

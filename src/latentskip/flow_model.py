@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FeatureStats, SeededRng, check_kinds, check_rule, mean, require_finite
-from .norm_fusion import (FUSION_MODES, MODE_RULE, READS_IMAGE_MOMENTS, check_mode, image_moments,
-                          normalize_portrait)
+from .core import FeatureStats, SeededRng, at_least, check_kinds, check_rule, mean, require_finite
+from .norm_fusion import FUSION_MODES, MODE_RULE, READS_IMAGE_MOMENTS, image_moments, normalize_portrait
 # Bound under this name because perfbench/tracer.py times fusion by wrapping flow_model.fuse_streams.
 # The kernel runs unchecked: Conditioning checked its streams and moments once, when built.
 from .norm_fusion import fuse_kernel as fuse_streams
@@ -50,8 +49,7 @@ class SamplerConfig:
 
     def __post_init__(self):
         check_kinds(self)
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        check_rule(at_least(1), self.steps, "steps")
 
     def timesteps(self) -> np.ndarray:
         """Uniform t_j = j/steps, descending from 1 to 0."""
@@ -92,7 +90,7 @@ class Conditioning:
 
     def __post_init__(self):
         mode = self.model.fusion_mode
-        check_mode(mode)
+        check_rule(MODE_RULE, mode, "fusion_mode")
         if len(self.layers) != self.model.layer_count:
             raise ValueError(f"conditioning has {len(self.layers)} layers, "
                              f"the model has {self.model.layer_count}")
@@ -191,15 +189,21 @@ class ToyModel:
         Each stream is built feature-major, ``P @ cond2d.T`` of shape
         (layer_width, frames), the layout of eval's layer products. Both
         streams' moments are taken here, once: the portrait stream is
-        normalized and the image stream's moments are kept. ``eval`` runs
-        the rest of the fusion.
+        normalized and the image stream's moments are kept, and moments that
+        are NaN or inf (a cond holding NaN or inf, or one that overflows
+        float64 in them) are a ValueError naming ``cond`` and the layer.
+        ``eval`` runs the rest of the fusion.
         """
+        check_rule(MODE_RULE, self.fusion_mode, "fusion_mode")  # a bad mode is not the cond's fault
         cond2d_t = self._cond_frames(cond, frames).T
         layers = []
-        for w in self.weights:
+        for m, w in enumerate(self.weights):
             s_img = w["P_img"] @ cond2d_t
-            layers.append((s_img, image_moments(s_img, self.fusion_mode),
-                           normalize_portrait(w["P_p"] @ cond2d_t, self.fusion_mode)))
+            try:
+                layers.append((s_img, image_moments(s_img, self.fusion_mode),
+                               normalize_portrait(w["P_p"] @ cond2d_t, self.fusion_mode)))
+            except ValueError as exc:
+                raise ValueError(f"cond: layer {m}'s fusion fails: {exc}") from None
         return Conditioning(frames, tuple(layers), self)
 
     def _cond_frames(self, cond, frames: int) -> np.ndarray:
@@ -215,22 +219,8 @@ class ToyModel:
 
 
 # build_model's rule for each model parameter: (holds, requirement).
-MODEL_RULES = {
-    "layer_count": (lambda v: v >= 2, "must be >= 2"),
-    "width": (lambda v: v >= 2, "must be >= 2"),
-    "latent_dim": (lambda v: v >= 1, "must be >= 1"),
-    "cond_dim": (lambda v: v >= 0, "must be >= 0"),
-    "fusion_mode": MODE_RULE,
-}
-
-
-def check_model_param(param: str, value, name: str | None = None) -> None:
-    """A ValueError ``"<name>: <requirement>, got <value>"`` unless ``value`` keeps ``param``'s rule.
-
-    ``param`` is a ``build_model`` parameter; ``name``, the field the caller
-    reports, defaults to it.
-    """
-    check_rule(MODEL_RULES[param], value, name or param)
+MODEL_RULES = {"layer_count": at_least(2), "width": at_least(2), "latent_dim": at_least(1),
+               "cond_dim": at_least(0), "fusion_mode": MODE_RULE}
 
 
 def build_model(seed: int, layer_count: int = 4, width: int = 32,
@@ -244,7 +234,7 @@ def build_model(seed: int, layer_count: int = 4, width: int = 32,
     """
     for param, value in (("layer_count", layer_count), ("width", width), ("latent_dim", latent_dim),
                          ("cond_dim", cond_dim), ("fusion_mode", fusion_mode)):
-        check_model_param(param, value)
+        check_rule(MODEL_RULES[param], value, param)
     rng = SeededRng(seed)
     scale = 1.0 / math.sqrt(width)
     weights = []

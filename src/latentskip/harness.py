@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .core import SeededRng, check_kinds, mean, relative_l2
-from .flow_model import SamplerConfig, build_model, check_model_param
+from .core import SeededRng, at_least, check_kinds, check_rule, mean, relative_l2
+from .flow_model import MODEL_RULES, SamplerConfig, build_model
 from .predictor import PredictorConfig
 from .windows import WindowPlan, run_long
 
@@ -76,16 +76,12 @@ class ExperimentConfig:
     def __post_init__(self):
         check_kinds(self)
         object.__setattr__(self, "frame_shape", tuple(self.frame_shape))
-        if self.seed < 0:
-            raise ValueError("seed: must be >= 0")
-        if not self.frame_shape:
-            raise ValueError("frame_shape: must be a non-empty list")
-        for d in self.frame_shape:  # every axis of a frame keeps the model's latent_dim rule
-            check_model_param("latent_dim", d, "frame_shape")
+        check_rule(at_least(0), self.seed, "seed")
+        check_rule((lambda shape: len(shape) > 0 and all(map(MODEL_RULES["latent_dim"][0], shape)),
+                    "must be a non-empty list of integers >= 1"), self.frame_shape, "frame_shape")
         for name, param in MODEL_FIELDS:
-            check_model_param(param, getattr(self, name), name)
-        if self.repetitions < 1:
-            raise ValueError("repetitions: must be >= 1")
+            check_rule(MODEL_RULES[param], getattr(self, name), name)
+        check_rule(at_least(1), self.repetitions, "repetitions")
         object.__setattr__(self, "sampler", SamplerConfig(steps=self.steps))
         object.__setattr__(self, "plan", WindowPlan(self.frames, self.window, self.overlap))
         object.__setattr__(self, "predictor", PredictorConfig(
@@ -185,8 +181,7 @@ def ablation_sweep(base: ExperimentConfig, grid: dict, jobs: int = 1) -> list[Me
     Every cell is built, and so checked, before any cell runs.
     ``jobs`` accepts only 1 and remains for callers that pass it.
     """
-    if jobs != 1:
-        raise ValueError(f"jobs: must be 1, got {jobs!r}")
+    check_rule((lambda j: j == 1, "must be 1"), jobs, "jobs")
     if not grid:
         raise ValueError("empty ablation grid")
     unknown = set(grid) - set(GRID_KEYS)

@@ -15,40 +15,52 @@ every step. The other modes are the ablation baselines.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .core import EPS, FeatureStats, check_rule, stats
+from .core import EPS, FeatureStats, check_rule, require_finite, stats
 
 FUSION_MODES = ("baseline-add", "pure-norm", "centralization", "ours")
 # The modes whose fusion reads the image stream's moments; the others add the image stream as is.
 READS_IMAGE_MOMENTS = ("ours", "centralization")
-# The fusion-mode rule, (holds, requirement): check_mode and flow_model.MODEL_RULES both apply it.
+# The fusion-mode rule, (holds, requirement): every check of a mode applies it, and flow_model.MODEL_RULES holds it.
 MODE_RULE = (lambda mode: mode in FUSION_MODES, f"must be one of {FUSION_MODES}")
 
 
-def check_mode(mode: str) -> None:
-    check_rule(MODE_RULE, mode, "fusion_mode")
+def _checked_stats(x: np.ndarray, name: str) -> FeatureStats:
+    """``stats(x)``, or a ValueError naming ``name`` when x holds NaN or inf or its moments overflow float64."""
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN or inf moments are the ValueError below
+        st = stats(x)
+    if not (math.isfinite(st.mean) and math.isfinite(st.std)):  # NaN or inf in x makes the mean so
+        require_finite(**{name: x})
+        raise ValueError(f"{name}: its moments overflow float64")
+    return st
 
 
 def normalize_portrait(z_p: np.ndarray, mode: str = "ours") -> np.ndarray:
     """The portrait half of the fusion: (z_p - mean_p) / max(std_p, EPS), a fresh array.
 
-    Mode "baseline-add" uses no statistics and returns z_p unchanged.
+    Mode "baseline-add" uses no statistics and returns z_p unchanged. In the
+    others a z_p holding NaN or inf, or whose moments overflow float64, is a ValueError naming it.
     """
-    check_mode(mode)
+    check_rule(MODE_RULE, mode, "fusion_mode")
     z_p = np.asarray(z_p, dtype=np.float64)
     if mode == "baseline-add":
         return z_p
-    sp = stats(z_p)
+    sp = _checked_stats(z_p, "z_p")
     out = z_p - sp.mean
     out /= max(sp.std, EPS)
     return out
 
 
 def image_moments(z_img: np.ndarray, mode: str = "ours") -> FeatureStats | None:
-    """The image half of the fusion: ``stats(z_img)`` for the modes in ``READS_IMAGE_MOMENTS``, else None."""
-    check_mode(mode)
-    return stats(z_img) if mode in READS_IMAGE_MOMENTS else None
+    """The image half of the fusion: ``stats(z_img)`` for the modes in ``READS_IMAGE_MOMENTS``, else None.
+
+    In those modes a z_img holding NaN or inf, or whose moments overflow float64, is a ValueError naming it.
+    """
+    check_rule(MODE_RULE, mode, "fusion_mode")
+    return _checked_stats(z_img, "z_img") if mode in READS_IMAGE_MOMENTS else None
 
 
 def fuse_kernel(z_img: np.ndarray, si: FeatureStats | None, p: np.ndarray, mode: str) -> np.ndarray:
@@ -82,8 +94,10 @@ def normalize_fuse(z_img: np.ndarray, z_p: np.ndarray, mode: str = "ours") -> np
     mode "pure-norm": standardize z_p only, then add z_img.
     mode "centralization": standardize both streams, then add.
     mode "baseline-add": plain z_p + z_img.
+    In every mode, a stream holding NaN or inf is a ValueError naming it.
     """
     z_img = np.asarray(z_img, dtype=np.float64)
     if z_img.shape != np.shape(z_p):
         raise ValueError("shape mismatch")
+    require_finite(z_img=z_img, z_p=z_p)
     return fuse_kernel(z_img, image_moments(z_img, mode), normalize_portrait(z_p, mode), mode)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS, check_kinds, mean
+from .core import EPS, at_least, check_kinds, check_rule, mean
 from .flow_model import LayerOutputs
 
 
@@ -33,12 +33,9 @@ class PredictorConfig:
 
     def __post_init__(self):
         check_kinds(self)
-        if self.anchor_spacing < 1:
-            raise ValueError("anchor_spacing must be >= 1")
-        if self.max_order < 0:
-            raise ValueError("max_order must be >= 0")
-        if not 0.5 <= self.alpha <= 1.5:
-            raise ValueError("alpha must lie in [0.5, 1.5]")
+        check_rule(at_least(1), self.anchor_spacing, "anchor_spacing")
+        check_rule(at_least(0), self.max_order, "max_order")
+        check_rule((lambda a: 0.5 <= a <= 1.5, "must lie in [0.5, 1.5]"), self.alpha, "alpha")
 
 
 class SigmaHistory:

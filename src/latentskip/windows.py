@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import check_kinds, require_finite
+from .core import check_kinds, check_rule, require_finite
 from .flow_model import SamplerConfig
 # Bound under this name because perfbench/tracer.py times the Euler step by wrapping windows.euler_step.
 # The kernel runs unguarded inside run_long's loop-wide errstate; dt comes from SamplerConfig.timesteps().
@@ -42,12 +42,11 @@ class WindowPlan:
 
     def __post_init__(self):
         check_kinds(self)
-        if not 0 <= self.overlap < self.window:
-            raise ValueError("overlap must satisfy 0 <= overlap < window")
-        if self.window > self.total:
-            raise ValueError("window must not exceed the total length")
-        if self.window < self.total and self.overlap < 2:
-            raise ValueError("overlap must be >= 2 when the window is shorter than the total length")
+        check_rule((lambda v: 0 <= v < self.window, f"must be >= 0 and < window ({self.window})"),
+                   self.overlap, "overlap")
+        check_rule((lambda w: w <= self.total, f"must not exceed total ({self.total})"), self.window, "window")
+        check_rule((lambda v: v >= 2 or self.window == self.total,
+                    "must be >= 2 when the window is shorter than the total length"), self.overlap, "overlap")
         spans = [(0, self.window)]
         while spans[-1][1] < self.total:
             s = spans[-1][0] + self.window - self.overlap
@@ -101,14 +100,14 @@ def run_long(model, z_T_full: np.ndarray, cond_full, plan: WindowPlan,
     the first step, and every evaluation of that window gets the result; any
     other model gets the cond itself. Returns (trajectory, evals_per_window).
     NaN or inf in either input, a latent with no frames, or a 2-D cond without
-    one row per frame is a ValueError, raised before any evaluation, as is
-    any error ``condition`` raises, and so is a velocity whose shape is not
-    its window's. A trajectory that turns NaN or inf, from an evaluation,
-    an extrapolation or an Euler step that overflows float64, is a
-    ValueError naming its first non-finite latent, with no RuntimeWarning
-    on the way: the loop runs under one ``np.errstate``, its Euler step is
-    the unguarded kernel (``dt`` comes from ``sampler_cfg.timesteps()``),
-    and the latents are checked once, at the end.
+    one row per frame is a ValueError, raised before any evaluation, as is any
+    error ``condition`` raises (such as a cond whose fusion moments overflow
+    float64); so is a velocity whose shape is not its window's. A trajectory
+    that turns NaN or inf, from an evaluation, an extrapolation or an Euler
+    step that overflows float64, is a ValueError naming its first non-finite
+    latent, with no RuntimeWarning on the way: the loop runs under one
+    ``np.errstate``, its Euler step is the unguarded kernel (``dt`` comes from
+    ``sampler_cfg.timesteps()``), and the latents are checked once, at the end.
     """
     z = np.array(z_T_full, dtype=np.float64)
     if latent_frames(z) != plan.total:

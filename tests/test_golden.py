@@ -2,17 +2,21 @@
 
 One sha256 covers every latent of every run in ``runs()``: 4 fusions x 3
 seeds x 3 shapes (one frame, one window, several windows) x shared and
-per-frame conditioning x the oracle and two accelerated configs. The data
+per-frame conditioning x the oracle and two accelerated configs. Its
+several-window shape has overlap 2, whose blend weights are exactly 0 and
+1, so a second one, ``blend_sha256``, covers ``blend_runs()``: the same
+fusions and configs on a plan whose weights include 1/3 and 2/3 and whose
+middle frame lies in three windows, so it pins the blend's rounding. The data
 file also holds each run's final latent from the last tree whose outputs
 were bitwise equal to the one before it. Those finals are frozen (their own
 sha256 is pinned below), and every run's final latent must stay within
 1e-12 of them: a change may move the rounding, never the result.
 
 GEMM results may differ with the NumPy build, the BLAS kernel and its
-thread count, so on an environment other than the recorded one the hash
-test skips and names the difference; the 1e-12 test runs everywhere.
+thread count, so on an environment other than the recorded one both hash
+tests skip and name the difference; the 1e-12 test runs everywhere.
 
-A change that moves the rounding on purpose records the new hash and says
+A change that moves the rounding on purpose records the new hashes and says
 why in CHANGES.md; the writer keeps the stored finals as they are:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -43,6 +47,8 @@ SHAPES = {
     "one-window": (3, (3,), dict(layer_count=3, width=8, cond_dim=3), None),
     "windows": (8, (3,), dict(layer_count=4, width=16, cond_dim=2), (5, 2)),
 }
+# (frames, window, overlap): the ramp 0, 1/3, 2/3, 1; the spans (0, 7), (3, 10), (6, 13) all hold frame 6.
+BLEND_PLAN = (13, 7, 4)
 # K=5 n=3 reaches warmed predicted steps (anchors 0, 5, 10, 15 fill the cache) within 20 steps.
 PREDICTORS = {"oracle": None, "K5n3": PredictorConfig(5, 3), "K2n1-nodyn": PredictorConfig(2, 1, 1.0, False)}
 # Every final latent stays this close to its frozen final: rounding moves about 1e-15 at most.
@@ -99,15 +105,39 @@ def runs():
                         yield f"{fusion}/{seed}/{shape}/{cond_kind}/{pname}", trajectory
 
 
+def blend_runs():
+    """Yield (name, trajectory) for every run on ``BLEND_PLAN``, in a fixed order."""
+    cfg, (frames, window, overlap) = SamplerConfig(steps=STEPS), BLEND_PLAN
+    for fusion in FUSION_MODES:
+        model = build_model(0, layer_count=4, width=16, latent_dim=3, cond_dim=2, fusion_mode=fusion)
+        rng = SeededRng(1000)
+        z, cond = rng.normal((frames, 3)), rng.normal((frames, 2))
+        for pname, pcfg in PREDICTORS.items():
+            trajectory, _ = run_long(model, z, cond, plan_windows(frames, window, overlap), cfg, pcfg)
+            yield f"{fusion}/blend/{pname}", trajectory
+
+
+def _update(h, trajectory):
+    for z in trajectory:
+        h.update(repr((z.dtype.str, z.shape)).encode())
+        h.update(np.ascontiguousarray(z).tobytes())
+
+
 def compute():
     """(sha256 over every latent of every run, {name: final latent})."""
     h, finals = hashlib.sha256(), {}
     for name, trajectory in runs():
-        for z in trajectory:
-            h.update(repr((z.dtype.str, z.shape)).encode())
-            h.update(np.ascontiguousarray(z).tobytes())
+        _update(h, trajectory)
         finals[name] = trajectory[-1]
     return h.hexdigest(), finals
+
+
+def blend_digest() -> str:
+    """sha256 over every latent of every run in ``blend_runs()``."""
+    h = hashlib.sha256()
+    for _, trajectory in blend_runs():
+        _update(h, trajectory)
+    return h.hexdigest()
 
 
 def _encode(z: np.ndarray) -> str:
@@ -159,21 +189,32 @@ def test_finals_within_tolerance_of_frozen(stored, computed):
     assert max(moved.values()) <= TOLERANCE, _moved(moved)
 
 
-def test_golden_outputs(stored, computed):
+def _skip_unless_recorded_environment(stored):
     env, made = environment(), stored["environment"]
     mismatch = [f"{key} {made.get(key)!r} (here {env.get(key)!r})"
                 for key in sorted(set(env) | set(made)) if env.get(key) != made.get(key)]
     if mismatch:
         pytest.skip("golden outputs were made with " + ", ".join(mismatch))
+
+
+def test_golden_outputs(stored, computed):
+    _skip_unless_recorded_environment(stored)
     digest, finals = computed
     assert digest == stored["sha256"], (f"sha256 {digest} != stored {stored['sha256']}: "
                                         + _moved(deltas(finals, stored["finals"])))
+
+
+def test_golden_blend(stored):
+    _skip_unless_recorded_environment(stored)
+    assert blend_digest() == stored["blend_sha256"]
 
 
 if __name__ == "__main__":
     digest, finals = compute()
     encoded = (json.loads(GOLDEN.read_text())["finals"] if GOLDEN.exists()
                else {name: _encode(z) for name, z in finals.items()})
-    GOLDEN.write_text(json.dumps({"environment": environment(), "sha256": digest, "finals": encoded},
-                                 indent=0) + "\n")
-    print(f"wrote sha256 {digest} to {GOLDEN}; against its stored finals, {_moved(deltas(finals, encoded))}")
+    blend = blend_digest()
+    GOLDEN.write_text(json.dumps({"environment": environment(), "sha256": digest, "blend_sha256": blend,
+                                  "finals": encoded}, indent=0) + "\n")
+    print(f"wrote sha256 {digest} and blend_sha256 {blend} to {GOLDEN}; "
+          f"against its stored finals, {_moved(deltas(finals, encoded))}")

@@ -92,13 +92,16 @@ class TestRunExperiment:
         with pytest.raises(ValueError) as config_exc:
             fast_cfg(**{field: value})
         requirement = str(model_exc.value).removeprefix(f"{param}: ")
+        if field == "frame_shape":  # latent_dim's rule on every axis, stated once for the whole shape
+            assert requirement == "must be >= 1, got 0"
+            requirement = "must be a non-empty list of integers >= 1, got (4, 0)"
         assert str(config_exc.value) == f"{field}: {requirement}"
 
     def test_config_is_frozen_and_checked_on_replace(self):
         cfg = fast_cfg()
         with pytest.raises(FrozenInstanceError):
             cfg.steps = 0
-        with pytest.raises(ValueError, match="steps must be >= 1"):
+        with pytest.raises(ValueError, match=re.escape("steps: must be >= 1, got 0")):
             replace(cfg, steps=0)
         # The sub-configs built from it are frozen too, so they stay as checked.
         with pytest.raises(FrozenInstanceError):
@@ -460,6 +463,16 @@ class TestCli:
         (["sample"], 3, "cfg.json must hold a JSON object"),
         (["sample"], {"seed": 1.5}, "seed: expected an integer"),
         (["sample"], {"repetitions": 0}, "repetitions: must be >= 1"),
+        # One case per sampler, plan and model rule; a sub-config names its own field.
+        (["sample", "-K", "0"], SMALL_RUN, "anchor_spacing: must be >= 1, got 0"),
+        (["sample", "-n", "-1"], SMALL_RUN, "max_order: must be >= 0, got -1"),
+        (["sample", "--alpha", "2"], SMALL_RUN, "alpha: must lie in [0.5, 1.5], got 2.0"),
+        (["sample", "-T", "0"], SMALL_RUN, "steps: must be >= 1, got 0"),
+        (["sample", "--window", "9", "-L", "8"], SMALL_RUN, "window: must not exceed total (8), got 9"),
+        (["sample", "--overlap", "8", "--window", "8"], SMALL_RUN, "overlap: must be >= 0 and < window (8), got 8"),
+        (["sample"], dict(SMALL_RUN, layers=1), "layers: must be >= 2, got 1"),
+        (["sample"], dict(SMALL_RUN, width=1), "width: must be >= 2, got 1"),
+        (["sample"], dict(SMALL_RUN, fusion="x"), "fusion: must be one of ('baseline-add', "),
     ])
     def test_malformed_input_exits_2(self, tmp_path, capsys, argv, config, message):
         cfg_path = tmp_path / "cfg.json"
@@ -467,9 +480,12 @@ class TestCli:
         assert main(argv + ["--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
-        if argv == ["sample"] and isinstance(config, dict):  # the same check from Python
+        if argv[0] == "sample" and isinstance(config, dict):  # the same check from Python
+            parser = argparse.ArgumentParser()
+            _add_run_flags(parser)
+            flags = {k: v for k, v in vars(parser.parse_args(argv[1:])).items() if v is not None}
             with pytest.raises(ValueError) as exc:
-                ExperimentConfig(**config)
+                ExperimentConfig(**{**config, **flags})
             assert err == f"error: {exc.value}\n"
 
     def test_multi_span_overlap_one_rejected_alike(self, capsys):
@@ -479,7 +495,8 @@ class TestCli:
                      ["sample", "-T", "4", "-L", "20", "--window", "8", "--overlap", "1"]):
             assert main(argv) == 2
             errors.append(capsys.readouterr().err)
-        assert errors[0] == errors[1] == "error: overlap must be >= 2 when the window is shorter than the total length\n"
+        assert errors[0] == errors[1] == ("error: overlap: must be >= 2 when the window is shorter than "
+                                          "the total length, got 1\n")
         assert main(["plan", "-L", "8", "--window", "8", "--overlap", "1"]) == 0
 
     def test_zero_cond_dim_runs(self, tmp_path, capsys):

@@ -108,6 +108,36 @@ class TestNormalizeFuse:
         with pytest.raises(ValueError, match="shape mismatch"):
             normalize_fuse(np.zeros(3), np.zeros(4), "ours")
 
+    # Each half, and their composition, refuses a stream its moments cannot describe, naming it.
+    # In float64 the sum of four 1e308 values overflows: finite input, moments that do not fit.
+    HALVES = {"normalize_portrait": (lambda x: normalize_portrait(x), "z_p"),
+              "image_moments": (lambda x: image_moments(x), "z_img"),
+              "normalize_fuse-image": (lambda x: normalize_fuse(x, np.ones(4)), "z_img"),
+              "normalize_fuse-portrait": (lambda x: normalize_fuse(np.ones(4), x), "z_p")}
+
+    @pytest.mark.parametrize("half", HALVES)
+    def test_halves_reject_nan(self, half):
+        call, name = self.HALVES[half]
+        with pytest.raises(ValueError, match=f"^{name} contains NaN or inf$"):
+            call(np.array([1.0, np.nan, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("half", HALVES)
+    def test_halves_reject_inf(self, half):
+        call, name = self.HALVES[half]
+        with pytest.raises(ValueError, match=f"^{name} contains NaN or inf$"):
+            call(np.array([1.0, np.inf, 2.0, -np.inf]))
+
+    @pytest.mark.parametrize("half", HALVES)
+    def test_halves_reject_moments_that_overflow(self, half):
+        call, name = self.HALVES[half]
+        with pytest.raises(ValueError, match=f"^{name}: its moments overflow float64$"):
+            call(np.full(4, 1e308))
+
+    def test_normalize_fuse_rejects_nan_in_every_mode(self):
+        for mode in FUSION_MODES:  # baseline-add and pure-norm take no image moments
+            with pytest.raises(ValueError, match="^z_img contains NaN or inf$"):
+                normalize_fuse(np.array([np.nan, 1.0]), np.ones(2), mode)
+
     def test_image_half_uses_the_image_stream_alone(self):
         z_img = SeededRng(1).normal(64) * 2 + 5
         assert image_moments(z_img, "ours") == image_moments(z_img, "centralization") == stats(z_img)

@@ -77,6 +77,31 @@ def test_kernels_run_only_at_their_checked_sites():
     assert not missing, f"KERNEL_SITES lists sites the package no longer has: {sorted(missing)}"
 
 
+def _config_post_inits(tree):
+    """Every ``__post_init__`` that calls ``check_kinds``, as (class name, function node)."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if (isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+                        and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "check_kinds"
+                                for n in ast.walk(fn))):
+                    yield cls.name, fn
+
+
+def test_config_rules_go_through_check_rule():
+    # A config dataclass (its __post_init__ calls check_kinds) states every rule as a core.check_rule
+    # call, so each error reads "<field>: <requirement>, got <value>"; a hand-written raise would not.
+    package = Path(latentskip.__file__).parent
+    configs, hits = [], []
+    for path in sorted(package.glob("*.py")):
+        for name, fn in _config_post_inits(ast.parse(path.read_text())):
+            configs.append(name)
+            hits += [f"{path.name}:{node.lineno}: raise in {name}.__post_init__"
+                     for node in ast.walk(fn) if isinstance(node, ast.Raise)]
+    assert {"ExperimentConfig", "PredictorConfig", "SamplerConfig", "WindowPlan"} <= set(configs)
+    assert not hits, "state the rule as a check_rule call:\n" + "\n".join(hits)
+
+
 # What the rest of the package may take from predictor: its config and its one interface.
 PREDICTOR_INTERFACE = {"PredictorConfig", "PredictorState"}
 

@@ -80,7 +80,7 @@ class TestPlan:
         window = data.draw(st.integers(2, total), label="window")
         overlap = data.draw(st.integers(1, window - 1), label="overlap")
         if overlap == 1 and window < total:  # several spans, but no 0..1 blend ramp
-            with pytest.raises(ValueError, match="overlap must be >= 2"):
+            with pytest.raises(ValueError, match="overlap: must be >= 2"):
                 plan_windows(total, window, overlap)
             return
         spans = plan_windows(total, window, overlap).spans
@@ -476,3 +476,24 @@ def test_overflowing_euler_step_raises(pcfg):
     with pytest.raises(ValueError, match=re.escape("trajectory latent 4 is not finite: an evaluation, "
                                                    "an extrapolation or an Euler step gave NaN or inf")):
         run_long(ConstantVelocityModel(-1e308), z, np.zeros(4), plan_windows(3, 3, 0), cfg, pcfg)
+
+
+@pytest.mark.parametrize("fusion", ["pure-norm", "centralization", "ours"])
+@pytest.mark.parametrize("pcfg", [None, PredictorConfig(2, 2)])
+def test_cond_whose_moments_overflow_raises_in_condition(fusion, pcfg):
+    # A finite cond of 1e308 gives finite streams whose moments overflow float64. A mode that takes
+    # moments refuses it in condition, naming cond and the layer, before any evaluation and with no
+    # RuntimeWarning (pytest turns one into an error); the portrait stream's are taken in every such mode.
+    model = ConditioningCountingModel(build_model(0, fusion_mode=fusion))
+    z, cond = SeededRng(3).normal((4, 64)), np.full(8, 1e308)
+    message = r"^cond: layer 0's fusion fails: z_(img|p): its moments overflow float64$"
+    with pytest.raises(ValueError, match=message):
+        run_long(model, z, cond, plan_windows(4, 4, 0), SamplerConfig(steps=5), pcfg)
+    assert model.conditioned == [4] and model.evals == 0
+
+
+def test_cond_whose_moments_overflow_runs_without_moments():
+    # baseline-add takes no moments: the same cond saturates the tanh layers and the run stays finite.
+    z, cond = SeededRng(3).normal((4, 64)), np.full(8, 1e308)
+    trajectory, _ = sample_full(build_model(0, fusion_mode="baseline-add"), z, cond, SamplerConfig(steps=5))
+    assert np.isfinite(trajectory[-1]).all()
