@@ -4,7 +4,7 @@ validated against a deterministic toy flow-matching denoiser."""
 
 from .core import EPS, FeatureStats, SeededRng, relative_l2, stats
 from .flow_model import (Conditioning, LayerOutputs, MaskPair, SamplerConfig, ToyModel, build_model,
-                         euler_step, forward_diffuse, masked_recon_loss, velocity_loss)
+                         forward_diffuse, masked_recon_loss, velocity_loss)
 from .harness import ExperimentConfig, MetricsReport, ablation_sweep, dump_trajectory, \
     load_trajectory, run_experiment
 from .norm_fusion import image_moments, normalize_fuse, normalize_portrait

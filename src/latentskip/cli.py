@@ -1,4 +1,4 @@
-"""Command-line front end: single runs, ablation grids, window plans, selftest."""
+"""Command-line front end: single runs, ablation grids and window plans."""
 
 from __future__ import annotations
 
@@ -7,16 +7,10 @@ import functools
 import json
 import sys
 from dataclasses import fields
-from types import SimpleNamespace
-
-import numpy as np
 
 from . import harness
-from .core import SeededRng, relative_l2, stats
-from .flow_model import FUSION_MODES, LayerOutputs
-from .norm_fusion import normalize_fuse
-from .predictor import PredictorConfig, PredictorState
-from .windows import WindowPlan, blend_overlap, blend_weights
+from .flow_model import FUSION_MODES
+from .windows import WindowPlan
 
 
 def _add_run_flags(p: argparse.ArgumentParser):
@@ -100,46 +94,6 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def cmd_selftest(_args) -> int:
-    failures = 0
-
-    def check(name, ok):
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        failures += 0 if ok else 1
-
-    st = stats(np.array([1.0, 3.0]))
-    check("population stats", st.mean == 2.0 and st.std == 1.0)
-
-    plan = WindowPlan(21, 9, 5)
-    check("window plan trace", plan.spans == ((0, 9), (4, 13), (8, 17), (12, 21)))
-
-    w = blend_weights(5)
-    blended = blend_overlap(np.zeros(5), np.full(5, 10.0), w)
-    check("overlap blend ramp", np.allclose(blended, [0, 2.5, 5, 7.5, 10]))
-
-    z_img = SeededRng(0).normal(64)
-    z_p = SeededRng(1).normal(64) * 3 + 2
-    fused = normalize_fuse(z_img, z_p)
-    aligned = fused - z_img
-    si, sa = stats(z_img), stats(aligned)
-    check("stats alignment", abs(si.mean - sa.mean) < 1e-9 and abs(si.std - sa.std) < 1e-9)
-
-    # Affine trajectories are extrapolated exactly: a one-layer model with velocity 3t + 1 at T=10,
-    # K=5, n=1 predicts step 7 (t = 0.3) from its anchors at steps 0 and 5.
-    affine = SimpleNamespace(eval=lambda z, t, cond: LayerOutputs([np.array([[3.0 * t + 1.0]])], (1, 1)))
-    state = PredictorState(PredictorConfig(anchor_spacing=5, max_order=1, dynamics_enabled=False))
-    outs = [state.step(affine, None, t, None, j) for j, t in enumerate(np.linspace(1.0, 0.0, 11)[:8])]
-    check("affine exactness", abs(outs[7].final[0, 0] - 1.9) < 1e-9)
-
-    rep = harness.run_experiment(harness.ExperimentConfig(steps=10, frames=8, window=8, overlap=5))
-    check("eval-count law", rep.full_eval_count == 2 and rep.predicted_step_count == 8)
-
-    check("relative_l2 self", relative_l2(z_img, z_img) == 0.0)
-    print(f"{'OK' if failures == 0 else 'FAILED'}: {failures} failing check(s)")
-    return 1 if failures else 0
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The whole argument tree, built on the first call and reused by later ``main`` calls."""
@@ -163,9 +117,6 @@ def _parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--window", type=int, required=True)
     p_plan.add_argument("--overlap", type=int, default=5)
     p_plan.set_defaults(fn=cmd_plan)
-
-    p_self = sub.add_parser("selftest", help="run the built-in invariant checks")
-    p_self.set_defaults(fn=cmd_selftest)
     return parser
 
 

@@ -75,6 +75,13 @@ def require_finite(**arrays) -> None:
             raise ValueError(f"{name} contains NaN or inf")
 
 
+def require_real(**arrays) -> None:
+    """Raise ValueError naming the first complex argument, whose imaginary part a float64 cast would drop."""
+    for name, value in arrays.items():
+        if np.iscomplexobj(value):
+            raise ValueError(f"{name} must be real, got complex values")
+
+
 # Config field annotation (a string under postponed evaluation) -> (value check, description).
 # The exact-type tests come first: the ABC isinstance checks cost about 1 us a field.
 _FIELD_KINDS = {
@@ -118,10 +125,24 @@ def check_rule(rule: tuple, value, name: str) -> None:
 
 
 def relative_l2(a: np.ndarray, b: np.ndarray) -> float:
-    """||a - b||2 / max(||b||2, EPS)."""
+    """||a - b||2 / max(||b||2, EPS); NaN or inf in ``a`` or ``b`` is a ValueError naming it.
+
+    Norms that overflow float64 on finite inputs are taken again on copies scaled by a power of two,
+    so the ratio is returned whenever float64 holds it; else a ValueError names ``relative_l2``.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    denom = max(float(np.linalg.norm(b)), EPS)
-    return float(np.linalg.norm(a - b)) / denom
+    with np.errstate(over="ignore", invalid="ignore"):  # a norm that is not finite is handled below
+        num, den, eps = float(np.linalg.norm(a - b)), float(np.linalg.norm(b)), EPS
+    if not (math.isfinite(num) and math.isfinite(den)):
+        require_finite(a=a, b=b)
+        # Scale by 2**-e, exact for every value that stays normal, so the largest magnitude is below 1.
+        e = math.frexp(max(np.max(np.abs(a)), np.max(np.abs(b))))[1]
+        a, b = np.ldexp(a, -e), np.ldexp(b, -e)
+        num, den, eps = float(np.linalg.norm(a - b)), float(np.linalg.norm(b)), math.ldexp(EPS, -e)
+    ratio = num / max(den, eps)
+    if not math.isfinite(ratio):
+        raise ValueError("relative_l2 overflows float64 on these inputs")
+    return ratio

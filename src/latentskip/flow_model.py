@@ -1,4 +1,4 @@
-"""Layered toy denoiser, rectified-flow process, Euler step and losses.
+"""Layered toy denoiser, rectified-flow process and losses.
 
 The model is a small tanh MLP applied independently per frame. It is smooth
 in the timestep, so finite-difference extrapolation of its outputs behaves
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FeatureStats, SeededRng, at_least, check_kinds, check_rule, mean, require_finite
+from .core import FeatureStats, SeededRng, at_least, check_kinds, check_rule, mean, require_finite, require_real
 from .norm_fusion import FUSION_MODES, MODE_RULE, READS_IMAGE_MOMENTS, image_moments, normalize_portrait
 # Bound under this name because perfbench/tracer.py times fusion by wrapping flow_model.fuse_streams.
 # The kernel runs unchecked: Conditioning checked its streams and moments once, when built.
@@ -189,9 +189,9 @@ class ToyModel:
         Each stream is built feature-major, ``P @ cond2d.T`` of shape
         (layer_width, frames), the layout of eval's layer products. Both
         streams' moments are taken here, once: the portrait stream is
-        normalized and the image stream's moments are kept, and moments that
-        are NaN or inf (a cond holding NaN or inf, or one that overflows
-        float64 in them) are a ValueError naming ``cond`` and the layer.
+        normalized and the image stream's moments are kept. A complex cond,
+        or moments that are NaN or inf (a cond holding NaN or inf, or one that
+        overflows float64 in them), is a ValueError naming ``cond``.
         ``eval`` runs the rest of the fusion.
         """
         check_rule(MODE_RULE, self.fusion_mode, "fusion_mode")  # a bad mode is not the cond's fault
@@ -207,6 +207,7 @@ class ToyModel:
         return Conditioning(frames, tuple(layers), self)
 
     def _cond_frames(self, cond, frames: int) -> np.ndarray:
+        require_real(cond=cond)
         cond = np.asarray(cond, dtype=np.float64)
         if cond.ndim == 1:
             if len(cond) != self.cond_dim:
@@ -291,25 +292,3 @@ def _finite_loss(name: str, loss: float) -> float:
         raise ValueError(f"{name} overflows float64 on these inputs")
     return loss
 
-
-def euler_step(z: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
-    """Advance the latent from t to t-dt with constant velocity v; a float64 overflow is a ValueError."""
-    if not 0 < dt < math.inf:  # NaN compares False, so it is rejected too
-        raise ValueError(f"dt must be finite and positive, got {dt}")
-    try:
-        with np.errstate(over="raise"):
-            return euler_kernel(z, v, dt)
-    except FloatingPointError:
-        raise ValueError("euler_step overflows float64 on these inputs") from None
-
-
-def euler_kernel(z: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
-    """``z - dt * v`` for a ``dt`` the caller has checked, under the caller's floating-point state.
-
-    Only the shapes are checked. An overflow follows ``np.errstate``: the
-    sampler loop lets it become inf and reports the non-finite latent once,
-    at the end; ``euler_step`` raises it as a ValueError.
-    """
-    if z.shape != v.shape:
-        raise ValueError("shape mismatch")
-    return z - dt * v

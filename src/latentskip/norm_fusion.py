@@ -94,10 +94,15 @@ def normalize_fuse(z_img: np.ndarray, z_p: np.ndarray, mode: str = "ours") -> np
     mode "pure-norm": standardize z_p only, then add z_img.
     mode "centralization": standardize both streams, then add.
     mode "baseline-add": plain z_p + z_img.
-    In every mode, a stream holding NaN or inf is a ValueError naming it.
+    In every mode, a stream holding NaN or inf is a ValueError naming it,
+    and a result that overflows float64 is a ValueError naming ``normalize_fuse``.
     """
     z_img = np.asarray(z_img, dtype=np.float64)
     if z_img.shape != np.shape(z_p):
         raise ValueError("shape mismatch")
     require_finite(z_img=z_img, z_p=z_p)
-    return fuse_kernel(z_img, image_moments(z_img, mode), normalize_portrait(z_p, mode), mode)
+    with np.errstate(over="ignore"):  # an overflow is the ValueError below, not a warning
+        out = fuse_kernel(z_img, image_moments(z_img, mode), normalize_portrait(z_p, mode), mode)
+    if not np.isfinite(out).all():
+        raise ValueError("normalize_fuse overflows float64 on these inputs")
+    return out

@@ -4,7 +4,7 @@ Long sequences are denoised as overlapping context windows. At every
 denoising step each window gives its frames' velocity, from a model
 evaluation (oracle) or its own ``PredictorState`` (accelerated); its head
 overlap is blended with the previous window's tail under a linear 0..1
-ramp, and the sequence takes one Euler step. All windows step from one
+ramp, and the sequence takes one ``euler_step``. All windows step from one
 latent, so this equals blending their stepped latents. ``sample_full``
 and ``sample_accelerated`` are ``run_long`` over a single window.
 """
@@ -15,11 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import check_kinds, check_rule, require_finite
+from .core import check_kinds, check_rule, require_finite, require_real
 from .flow_model import SamplerConfig
-# Bound under this name because perfbench/tracer.py times the Euler step by wrapping windows.euler_step.
-# The kernel runs unguarded inside run_long's loop-wide errstate; dt comes from SamplerConfig.timesteps().
-from .flow_model import euler_kernel as euler_step
 from .predictor import PredictorConfig, PredictorState
 
 
@@ -83,6 +80,11 @@ def blend_overlap(prev_tail: np.ndarray, cur_head: np.ndarray, weights: np.ndarr
     return out
 
 
+def euler_step(z: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
+    """``z - dt * v``, unchecked: ``run_long``'s Euler step, under its loop's ``np.errstate``."""
+    return z - dt * v
+
+
 def run_long(model, z_T_full: np.ndarray, cond_full, plan: WindowPlan,
              sampler_cfg, predictor_cfg: PredictorConfig | None = None):
     """Denoise a length-L sequence window by window, one Euler step per denoising step.
@@ -93,22 +95,23 @@ def run_long(model, z_T_full: np.ndarray, cond_full, plan: WindowPlan,
     latent, fill one velocity array; a window's head overlap blends its
     velocity with the previous window's raw tail (not at the first window
     or step, where the later window's velocity is kept). The sequence then
-    takes one Euler step, ``z - dt * vel``. Frames run along the
-    first axis of ``z_T_full`` and of a 2-D ``cond_full``, which is sliced
-    once per window; a 1-D (shared) cond, or None, is every window's cond. A model with a ``condition(cond, frames)``
-    method (``ToyModel``) gets each window's cond through it once, before
-    the first step, and every evaluation of that window gets the result; any
-    other model gets the cond itself. Returns (trajectory, evals_per_window).
-    NaN or inf in either input, a latent with no frames, or a 2-D cond without
-    one row per frame is a ValueError, raised before any evaluation, as is any
-    error ``condition`` raises (such as a cond whose fusion moments overflow
-    float64); so is a velocity whose shape is not its window's. A trajectory
-    that turns NaN or inf, from an evaluation, an extrapolation or an Euler
-    step that overflows float64, is a ValueError naming its first non-finite
-    latent, with no RuntimeWarning on the way: the loop runs under one
-    ``np.errstate``, its Euler step is the unguarded kernel (``dt`` comes from
-    ``sampler_cfg.timesteps()``), and the latents are checked once, at the end.
+    takes one Euler step, ``euler_step``. Frames run along the first axis
+    of ``z_T_full`` and of a 2-D ``cond_full``, which is sliced once per
+    window; a 1-D (shared) cond, or None, is every window's cond. A model
+    with a ``condition(cond, frames)`` method (``ToyModel``) gets each
+    window's cond through it once, before the first step, and every
+    evaluation of that window gets the result; any other model gets the
+    cond itself. Returns (trajectory, evals_per_window). A complex input,
+    NaN or inf in either input, a latent with no frames, or a 2-D cond
+    without one row per frame is a ValueError naming ``z_T`` or ``cond``,
+    raised before any evaluation, as is any error ``condition`` raises; so
+    is a velocity whose shape is not its window's. A trajectory that turns
+    NaN or inf (an evaluation, an extrapolation or an Euler step that
+    overflows float64) is a ValueError naming its first non-finite latent,
+    with no RuntimeWarning: the loop runs under one ``np.errstate`` and
+    checks the latents once, at the end, the one Euler overflow policy.
     """
+    require_real(z_T=z_T_full, cond=cond_full)
     z = np.array(z_T_full, dtype=np.float64)
     if latent_frames(z) != plan.total:
         raise ValueError(f"latent has {z.shape[0]} frames, plan expects {plan.total}")

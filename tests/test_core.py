@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from latentskip.core import SeededRng, check_kinds, mean, relative_l2, stats
+from latentskip.core import EPS, SeededRng, check_kinds, mean, relative_l2, stats
 
 # Finite float64 values from subnormals to 1e300, signed zeros included.
 FLOATS = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
@@ -90,6 +90,36 @@ def test_relative_l2_examples():
 def test_relative_l2_self_is_zero(values):
     a = np.asarray(values)
     assert relative_l2(a, a) == 0.0
+
+
+@given(st.data(), hnp.array_shapes(max_dims=2, max_side=8))
+def test_relative_l2_bitwise_where_the_norms_fit(data, shape):
+    # Where both norms fit float64 (64 squares of at most 4e300) the value is the plain formula's, bit for bit.
+    a, b = (data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e150, 1e150))) for _ in range(2))
+    assert relative_l2(a, b) == float(np.linalg.norm(a - b)) / max(float(np.linalg.norm(b)), EPS)
+
+
+@pytest.mark.parametrize("a, b, ratio", [(np.full(4, 1e200), np.full(4, 2e200), 0.5),
+                                         (np.array([1e308]), np.array([-1e308]), 2.0),
+                                         (np.array([1e308, 1.0]), np.array([1e307, -1e-300]), 9.0)])
+def test_relative_l2_finite_inputs_whose_norms_overflow(a, b, ratio):
+    # The norms' squares exceed float64; the ratio does not, so it is returned, with no RuntimeWarning.
+    assert relative_l2(a, b) == pytest.approx(ratio, rel=1e-15)
+
+
+@pytest.mark.parametrize("a, b, name", [([np.nan], [1.0], "a"), ([1.0], [np.inf], "b"),
+                                        ([np.inf], [np.inf], "a"), ([1e308], [np.nan], "b")])
+def test_relative_l2_rejects_nan_and_inf(a, b, name):
+    with pytest.raises(ValueError, match=f"^{name} contains NaN or inf$"):
+        relative_l2(np.array(a), np.array(b))
+
+
+@pytest.mark.parametrize("a, b", [([1e305], [0.0]), ([1e308, 1e308], [1e-300, 0.0])],
+                         ids=["norms-fit", "norms-overflow"])
+def test_relative_l2_ratio_that_overflows_raises(a, b):
+    # ||a - b|| / EPS exceeds float64: a ValueError, not inf.
+    with pytest.raises(ValueError, match="^relative_l2 overflows float64 on these inputs$"):
+        relative_l2(np.array(a), np.array(b))
 
 
 def test_relative_l2_shape_mismatch():

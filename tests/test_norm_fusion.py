@@ -138,6 +138,15 @@ class TestNormalizeFuse:
             with pytest.raises(ValueError, match="^z_img contains NaN or inf$"):
                 normalize_fuse(np.array([np.nan, 1.0]), np.ones(2), mode)
 
+    @pytest.mark.parametrize("z_img, z_p, mode", [(np.array([1.7e308]), np.array([1.0]), "ours"),
+                                                  (np.full(2, 1.7e308), np.full(2, 1.7e308), "baseline-add")],
+                             ids=["ours", "baseline-add"])
+    def test_normalize_fuse_overflow_raises(self, z_img, z_p, mode):
+        # Finite streams with finite moments whose fused sum exceeds float64: a ValueError, not inf
+        # and a RuntimeWarning (pytest makes one an error).
+        with pytest.raises(ValueError, match="^normalize_fuse overflows float64 on these inputs$"):
+            normalize_fuse(z_img, z_p, mode)
+
     def test_image_half_uses_the_image_stream_alone(self):
         z_img = SeededRng(1).normal(64) * 2 + 5
         assert image_moments(z_img, "ours") == image_moments(z_img, "centralization") == stats(z_img)

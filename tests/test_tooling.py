@@ -35,10 +35,10 @@ def test_moments_come_from_core():
 
 # The unchecked kernels may run only where their inputs are checked, once: the fusion kernel in
 # ToyModel.eval (bound as fuse_streams, on a checked Conditioning's streams) and in normalize_fuse;
-# the Euler kernel in euler_step and in run_long's loop (bound as euler_step, dt from timesteps()).
+# the Euler step in run_long's loop alone (a velocity of the latent's shape, dt from timesteps()).
 KERNEL_SITES = {
     "fuse_kernel": {("flow_model.py", "import as fuse_streams"), ("norm_fusion.py", "normalize_fuse")},
-    "euler_kernel": {("flow_model.py", "euler_step"), ("windows.py", "import as euler_step")},
+    "euler_step": {("windows.py", "run_long")},
 }
 
 
@@ -72,7 +72,8 @@ def test_kernels_run_only_at_their_checked_sites():
             seen.add((kernel, path.name, site))
             if (path.name, site) not in KERNEL_SITES[kernel]:
                 hits.append(f"{path.name}:{lineno}: {kernel} in {site}")
-    assert not hits, "call the checked entry point (normalize_fuse, euler_step) instead:\n" + "\n".join(hits)
+    assert not hits, ("an unchecked kernel outside its sites (call normalize_fuse; only run_long's loop "
+                      "takes an euler_step):\n" + "\n".join(hits))
     missing = {(kernel, *where) for kernel, sites in KERNEL_SITES.items() for where in sites} - seen
     assert not missing, f"KERNEL_SITES lists sites the package no longer has: {sorted(missing)}"
 
@@ -102,13 +103,13 @@ def test_config_rules_go_through_check_rule():
     assert not hits, "state the rule as a check_rule call:\n" + "\n".join(hits)
 
 
-# What the rest of the package may take from predictor: its config and its one interface.
-PREDICTOR_INTERFACE = {"PredictorConfig", "PredictorState"}
+# What the rest of the package may take from predictor: its config. Only windows builds a PredictorState.
+PREDICTOR_INTERFACE = {"PredictorConfig"}
 
 
 def test_predictor_internals_stay_in_predictor():
-    # Outside predictor.py and windows.py nothing may import the cache, the table or the
-    # correctors, so those internals can change by touching predictor.py and its tests alone.
+    # Outside predictor.py and windows.py nothing may import the state, the cache, the table or the
+    # correctors, so those internals can change by touching predictor.py, windows.py and their tests alone.
     package = Path(latentskip.__file__).parent
     sources = sorted(p for p in package.glob("*.py") if p.name not in ("predictor.py", "windows.py"))
     assert sources, f"no modules found in {package}"
@@ -126,7 +127,7 @@ def test_predictor_internals_stay_in_predictor():
             elif isinstance(node, ast.Import):
                 hits += [f"{path.name}:{node.lineno}: imports {alias.name}" for alias in node.names
                          if alias.name == "latentskip.predictor"]
-    assert not hits, "import only PredictorConfig and PredictorState from predictor:\n" + "\n".join(hits)
+    assert not hits, "import only PredictorConfig from predictor:\n" + "\n".join(hits)
 
 
 def test_readme_quickstart_runs(capsys):

@@ -7,18 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from latentskip import norm_fusion, predictor, windows
 from latentskip.core import SeededRng
-from latentskip.flow_model import FUSION_MODES, LayerOutputs, SamplerConfig, build_model, euler_step
+from latentskip.flow_model import FUSION_MODES, LayerOutputs, SamplerConfig, build_model
 from latentskip.predictor import PredictorConfig
 from latentskip.windows import (WindowPlan, blend_overlap, blend_weights, plan_windows, run_long,
                                 sample_accelerated, sample_full)
 
 
 def reference_euler(model, z_T, cond, cfg):
-    """Plain oracle Euler loop, the reference the shared sampling loop is held to."""
+    """Plain oracle Euler loop, the reference the shared sampling loop is held to; it shares no step code."""
     ts, trajectory = cfg.timesteps(), [np.array(z_T, dtype=np.float64)]
     for j in range(cfg.steps):
         v = model.eval(trajectory[-1], float(ts[j]), cond).final
-        trajectory.append(euler_step(trajectory[-1], v, float(ts[j] - ts[j + 1])))
+        trajectory.append(trajectory[-1] - float(ts[j] - ts[j + 1]) * v)
     return trajectory
 
 
@@ -254,6 +254,20 @@ def test_non_finite_input_rejected(sampler, bad, target):
     inputs[target][5, 1] = bad
     with pytest.raises(ValueError, match=target):
         SAMPLERS[sampler](inputs["z_T"], inputs["cond"], SamplerConfig(steps=5))
+
+
+@pytest.mark.parametrize("pcfg", [None, PredictorConfig(2, 2)], ids=["oracle", "accelerated"])
+@pytest.mark.parametrize("plan", [plan_windows(12, 12, 0), plan_windows(12, 6, 3)], ids=["one-window", "windows"])
+@pytest.mark.parametrize("target", ["z_T", "cond"])
+def test_complex_input_rejected_before_any_eval(pcfg, plan, target):
+    # A float64 cast would keep only the real part, with a ComplexWarning (a RuntimeWarning, which
+    # pytest makes an error); the loop refuses the input instead, naming it, before any evaluation.
+    model, rng = ConditioningCountingModel(SMALL_MODEL), SeededRng(3)
+    inputs = {"z_T": rng.normal((12, 6)), "cond": rng.normal((12, 4))}
+    inputs[target] = inputs[target] + 1j
+    with pytest.raises(ValueError, match=f"^{target} must be real, got complex values$"):
+        run_long(model, inputs["z_T"], inputs["cond"], plan, SamplerConfig(steps=5), pcfg)
+    assert model.conditioned == [] and model.evals == 0
 
 
 class CountingModel:
