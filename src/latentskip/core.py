@@ -50,6 +50,20 @@ def mean(x) -> float:
     return float(np.add.reduce(x, axis=None) / x.size)
 
 
+def layer_means(x) -> np.ndarray:
+    """Each ``x[l]``'s mean over all its elements, as one reduction over every axis but the first.
+
+    Each layer's values are summed in its own memory order, as ``mean`` sums
+    them, so on a stack whose layers are each C- or F-contiguous, entry l is
+    bitwise ``mean(x[l])``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = math.prod(x.shape[1:])
+    if n == 0 and len(x):
+        raise ValueError("empty input")
+    return np.add.reduce(x, axis=tuple(range(1, x.ndim))) / n
+
+
 def stats(x: np.ndarray) -> FeatureStats:
     """Global mean and population standard deviation over all elements.
 
@@ -125,11 +139,12 @@ def check_rule(rule: tuple, value, name: str) -> None:
 
 
 def relative_l2(a: np.ndarray, b: np.ndarray) -> float:
-    """||a - b||2 / max(||b||2, EPS); NaN or inf in ``a`` or ``b`` is a ValueError naming it.
+    """||a - b||2 / max(||b||2, EPS); NaN or inf, or complex values, in ``a`` or ``b`` is a ValueError naming it.
 
     Norms that overflow float64 on finite inputs are taken again on copies scaled by a power of two,
     so the ratio is returned whenever float64 holds it; else a ValueError names ``relative_l2``.
     """
+    require_real(a=a, b=b)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:

@@ -20,6 +20,22 @@ from .norm_fusion import FUSION_MODES, MODE_RULE, READS_IMAGE_MOMENTS, image_mom
 from .norm_fusion import fuse_kernel as fuse_streams
 
 
+def stack_layers(layers: Sequence) -> np.ndarray:
+    """Same-shaped layers as one float64 array, layer first; no layers give an empty (0,) array.
+
+    ``np.stack`` keeps the layers' own memory order (F-contiguous layers stay
+    F-contiguous), so a reduction over the stack reads each layer's values in
+    the order a reduction over that layer alone reads them. A layer whose
+    shape is not layer 0's is a ValueError naming it.
+    """
+    layers = [np.asarray(v, dtype=np.float64) for v in layers]
+    for l, v in enumerate(layers):
+        if v.shape != layers[0].shape:
+            raise ValueError(f"layer {l} has shape {v.shape}, layer 0 has {layers[0].shape}: "
+                             "the hidden layers must share one shape")
+    return np.stack(layers) if layers else np.empty(0)
+
+
 @dataclass(eq=False)
 class LayerOutputs:
     """Per-layer activations of one model evaluation.
@@ -27,13 +43,18 @@ class LayerOutputs:
     ``per_layer[i]`` has shape (frames, layer_width); the last layer maps
     back to the frame feature width so ``final`` is a velocity with the
     input latent's shape. A model evaluation gives a list, its hidden layers
-    F-contiguous and its last layer C-contiguous (see ``ToyModel``); a
+    F-contiguous and its last layer C-contiguous (see ``ToyModel``), and
+    ``hidden``, every hidden layer in one (layer_count - 1, frames, width)
+    array, of which those hidden layers are views. Outputs built from a
+    plain list leave ``hidden`` unset; ``hidden_stack`` stacks them once,
+    on first use, so the anchor cache reads one stack either way. A
     predicted step gives a read-only sequence that builds each hidden layer
     on its first read (``predictor.PredictedLayers``).
     """
 
     per_layer: Sequence  # of np.ndarray, length == layer_count
     shape: tuple     # latent shape the final output reshapes to
+    hidden: np.ndarray | None = field(default=None, repr=False)  # per_layer[:-1], stacked
 
     @property
     def final(self) -> np.ndarray:
@@ -41,6 +62,12 @@ class LayerOutputs:
 
     def __len__(self) -> int:
         return len(self.per_layer)
+
+    def hidden_stack(self) -> np.ndarray:
+        """``hidden``, stacked from ``per_layer[:-1]`` by ``stack_layers`` if unset, and kept."""
+        if self.hidden is None:
+            self.hidden = stack_layers([self.per_layer[l] for l in range(len(self) - 1)])
+        return self.hidden
 
 
 @dataclass(frozen=True)
@@ -129,10 +156,11 @@ class ToyModel:
     outputs are written into one buffer per call, of shape
     (layer_count - 1, width + 2, frames), whose blocks hold their (1, t)
     rows last; each hidden output is its block's transpose, one F-contiguous
-    (frames, width) block, and the last layer is a C-contiguous
-    (frames, latent_dim) copy. The fields are frozen: a ``Conditioning`` is
-    checked against its model once, when built, so the model's fusion mode
-    and layers must not change under it.
+    (frames, width) block, and ``LayerOutputs.hidden`` is the buffer's
+    (layer_count - 1, frames, width) view of all of them, with no copy. The
+    last layer is a C-contiguous (frames, latent_dim) copy. The fields are
+    frozen: a ``Conditioning`` is checked against its model once, when
+    built, so the model's fusion mode and layers must not change under it.
     """
 
     layer_count: int
@@ -145,11 +173,14 @@ class ToyModel:
     def eval(self, z: np.ndarray, t: float, cond) -> LayerOutputs:
         """Every layer's output at ``t``; ``cond`` is a raw cond or this model's ``Conditioning`` of it.
 
-        A non-finite ``t`` is a ValueError: it would make every output NaN.
+        A non-finite ``t`` is a ValueError: it would make every output NaN; so is a complex ``z``.
         """
         if not math.isfinite(t):
             raise ValueError(f"t must be finite, got {t}")
-        z = np.asarray(z, dtype=np.float64)
+        z = np.asarray(z)
+        if z.dtype != np.float64:  # the samplers pass float64, which needs neither check nor cast
+            require_real(z=z)
+            z = z.astype(np.float64)
         if z.ndim == 0 or math.prod(z.shape[1:]) != self.latent_dim:
             raise ValueError(f"latent of shape {z.shape} incompatible with frame width {self.latent_dim}: "
                              "frames run along the first axis")
@@ -165,13 +196,15 @@ class ToyModel:
         # Feature-major: Abc @ [h; 1; t] is A h + b + t c, shape (out, frames). Each hidden
         # output is written into the next block of one buffer, whose (1, t) rows are already
         # set, and returned as that block's transpose; the last layer is copied out C-contiguous.
-        # The buffer is new at every call, because the predictor keeps an anchor's outputs.
+        # The buffer is new at every call, because the predictor keeps an anchor's outputs, and
+        # the hidden layers go to the predictor as one (layers - 1, frames, width) view of it.
         frames = len(z)
         first = np.empty((self.latent_dim + 2, frames))
         first[:-2] = z.reshape(frames, self.latent_dim).T
         first[-2], first[-1] = 1.0, t
         hidden = np.empty((self.layer_count - 1, self.width + 2, frames))
         hidden[:, -2], hidden[:, -1] = 1.0, t
+        stack = hidden[:, :-2]  # every block's output rows
         hin, outs = first, []
         for m, (w, (s_img, si, p)) in enumerate(zip(self.weights, cond.layers, strict=True)):
             x = w["Abc"] @ hin
@@ -180,8 +213,8 @@ class ToyModel:
                 outs.append(np.tanh(x, out=x).T.copy())
             else:
                 hin = hidden[m]
-                outs.append(np.tanh(x, out=hin[:-2]).T)
-        return LayerOutputs(outs, z.shape)
+                outs.append(np.tanh(x, out=stack[m]).T)
+        return LayerOutputs(outs, z.shape, stack.transpose(0, 2, 1))
 
     def condition(self, cond, frames: int) -> Conditioning:
         """Project a shared (cond_dim,) or per-frame (frames, cond_dim) cond into every layer's streams.

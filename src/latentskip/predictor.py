@@ -4,11 +4,12 @@ Full model evaluations happen only at anchor steps spaced ``anchor_spacing``
 apart; between anchors, per-layer outputs are extrapolated with a truncated
 Taylor series whose derivatives are approximated by the finite differences
 at the newest anchor. The cache keeps that table, which each anchor updates
-by Newton's rule, and the latent shape, not the anchors' outputs. Two scalar
-correctors adapt the series: ``scale_s`` tracks how fast the latents
-currently change versus average, ``layer_weight`` tracks each layer's
-derivative magnitude versus the cross-layer average. ``PredictorState``, one
-per window of ``run_long``, is the interface; the rest is its internals.
+by Newton's rule, and the latent shape, not the anchors' outputs; the hidden
+layers' rows are one stacked array per order. Two scalar correctors adapt
+the series: ``scale_s`` tracks how fast the latents currently change versus
+average, ``layer_weight`` tracks each layer's derivative magnitude versus
+the cross-layer average. ``PredictorState``, one per window of
+``run_long``, is the interface; the rest is its internals.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS, at_least, check_kinds, check_rule, mean
+from .core import EPS, at_least, check_kinds, check_rule, layer_means, mean
 from .flow_model import LayerOutputs
 
 
@@ -59,64 +60,105 @@ class SigmaHistory:
 class AnchorCache:
     """Newton forward-difference table of the newest ``capacity`` anchor evaluations.
 
-    ``rows[l][i]`` is the i-th difference at layer l with the newest anchor as
-    base, orders capped at ``capacity - 1``; ``shape`` is the newest anchor's
+    ``hidden[i]`` is the i-th difference of every hidden layer at once, one
+    array stacked like the anchors' ``LayerOutputs.hidden`` (layer first),
+    and ``final[i]`` the final layer's, with the newest anchor as base and
+    orders capped at ``capacity - 1``; ``shape`` is the newest anchor's
     latent shape. A push builds fresh row lists, so a table taken earlier is
     never changed. Each anchor step must be exactly ``spacing`` past the
-    previous one, as ``PredictorState.step`` pushes them.
+    previous one, as ``PredictorState.step`` pushes them, and its layers
+    must have the cached anchors' count and shapes.
     """
 
     def __init__(self, spacing: int, capacity: int):
         self.spacing = spacing
         self.capacity = capacity
-        self.rows: list[list[np.ndarray]] = []
+        self.hidden: list[np.ndarray] = []
+        self.final: list[np.ndarray] = []
         self.shape: tuple | None = None
         self.newest_step: int | None = None
 
     def __len__(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return len(self.final)
 
     def push(self, step: int, outputs: LayerOutputs, hist: SigmaHistory | None = None):
-        """Make ``outputs`` the newest anchor: row i becomes old row i-1 - new row i-1."""
+        """Make ``outputs`` the newest anchor: row i becomes old row i-1 - new row i-1.
+
+        Each order is two subtractions, one over the hidden stack and one over
+        the final layer, whatever the layer count.
+        """
         if self.newest_step is not None and step - self.newest_step != self.spacing:
             raise ValueError("anchor spacing violated")
+        hidden, final = outputs.hidden_stack(), np.asarray(outputs.per_layer[-1], dtype=np.float64)
+        if self.final and (hidden.shape, final.shape) != (self.hidden[0].shape, self.final[0].shape):
+            self._refuse_layers(hidden, final)
         orders = min(len(self), self.capacity - 1)
-        rows = []
-        for l, value in enumerate(outputs.per_layer):
-            new = [np.asarray(value, dtype=np.float64)]
-            for i in range(1, orders + 1):
-                new.append(self.rows[l][i - 1] - new[i - 1])
-            rows.append(new)
-        if hist is not None and self.rows:
+        new_hidden, new_final = [hidden], [final]
+        for i in range(1, orders + 1):
+            new_hidden.append(self.hidden[i - 1] - new_hidden[i - 1])
+            new_final.append(self.final[i - 1] - new_final[i - 1])
+        if hist is not None and self.final:
             # The final layer's order-1 row is old - new, the exact negation of new - old, so its
             # norm is bitwise the same; without that row (capacity 1) the difference is taken here.
-            change = rows[-1][1] if orders else rows[-1][0] - self.rows[-1][0]
+            change = new_final[1] if orders else final - self.final[0]
             hist.record(float(np.linalg.norm(change)) / self.spacing)
-        self.rows = rows
+        self.hidden, self.final = new_hidden, new_final
         self.shape, self.newest_step = outputs.shape, step
+
+    def _refuse_layers(self, hidden: np.ndarray, final: np.ndarray):
+        """A ValueError naming the first layer whose shape is not the cached anchors'.
+
+        ``push`` calls it when the shapes differ: unchecked, a mismatched
+        layer would broadcast against the table, or a missing one shift the
+        final layer into the hidden stack.
+        """
+        cached = self.hidden[0]
+        if len(hidden) != len(cached):
+            raise ValueError(f"anchor has {len(hidden) + 1} layers, the cached anchors have {len(cached) + 1}")
+        for l, got, want in ((0, hidden.shape[1:], cached.shape[1:]),
+                             (len(hidden), final.shape, self.final[0].shape)):
+            if got != want:
+                raise ValueError(f"anchor's layer {l} has shape {got}, the cached anchors' has {want}")
 
 
 @dataclass(eq=False)
 class DiffTable:
-    """Per-layer finite differences at the newest anchor, orders 0..max."""
+    """Finite differences at the newest anchor, orders 0..max_order.
 
-    per_layer: list  # per_layer[l][i] = i-th difference at layer l
+    ``hidden[i]`` stacks every hidden layer's i-th difference (layer first),
+    and ``final[i]`` is the final layer's. ``layer(l)`` and ``per_layer``
+    read them layer by layer, a hidden layer's as views of the stacks.
+    """
+
+    hidden: list  # hidden[i] = i-th difference of every hidden layer, shape (layers - 1, ...)
+    final: list   # final[i] = i-th difference of the final layer
+    max_order: int = field(init=False)
+    layer_count: int = field(init=False)
     # order -> every layer's layer_weight, filled on the order's first query
     weights: dict = field(default_factory=dict, init=False, repr=False)
     # (alpha, sigma count) -> scale_s, filled by predict's first query: a history only grows, by one
     # sigma per anchor push, and every anchor builds a new table, so s is taken once per anchor
     scales: dict = field(default_factory=dict, init=False, repr=False)
 
+    def __post_init__(self):
+        self.max_order = len(self.final) - 1
+        self.layer_count = len(self.hidden[0]) + 1
+
+    def layer(self, l: int) -> list:
+        """Layer l's differences, orders 0..max_order; l counts from 0."""
+        return self.final if l == self.layer_count - 1 else [h[l] for h in self.hidden]
+
     @property
-    def max_order(self) -> int:
-        return len(self.per_layer[0]) - 1
+    def per_layer(self) -> list:
+        """``per_layer[l][i]`` = i-th difference at layer l."""
+        return [self.layer(l) for l in range(self.layer_count)]
 
 
 def finite_differences(cache: AnchorCache) -> DiffTable:
     """The cache's difference table, newest anchor as base."""
     if not len(cache):
         raise ValueError("empty anchor cache")
-    return DiffTable(cache.rows)
+    return DiffTable(cache.hidden, cache.final)
 
 
 def scale_s(hist: SigmaHistory, alpha: float) -> float:
@@ -140,22 +182,33 @@ def layer_weight(table: DiffTable, layer: int, order: int) -> float:
 
     The table does not change once built, so the first query at an order
     computes every layer's weight and later queries read the stored one.
+    That query takes every hidden layer's magnitude from one reduction over
+    the order's hidden stack (``core.layer_means``), bitwise each layer's
+    own ``core.mean``, and the weights in one array expression.
     """
     if order > table.max_order:
         raise ValueError(f"order {order} not present in difference table")
     weights = table.weights.get(order)
     if weights is None:
-        mags = [mean(np.abs(diffs[order])) for diffs in table.per_layer]
+        hidden = layer_means(np.abs(table.hidden[order]))
+        mags = np.concatenate((hidden, [mean(np.abs(table.final[order]))]))
         avg = max(mean(mags), EPS)
-        weights = table.weights[order] = [1.0 / math.sqrt(max(mag / avg, EPS)) for mag in mags]
+        weights = table.weights[order] = (1.0 / np.sqrt(np.maximum(mags / avg, EPS))).tolist()
     return weights[layer]
 
 
 def extrapolate_layer(diffs: list, terms: list) -> np.ndarray:
-    """diffs[0] + sum_i diffs[i] * num_i / den_i over the (num_i, den_i) of orders 1..m."""
+    """diffs[0] + sum_i diffs[i] * num_i / den_i over the (num_i, den_i) of orders 1..m.
+
+    Every term is formed in the array the first one allocates, multiply then
+    divide, as ``diffs[i] * num / den`` would, so the result is bitwise the same.
+    """
     acc = diffs[0].copy(order="K")  # in the layer's own layout: eval's hidden outputs are F-ordered
+    term = None
     for i, (num, den) in enumerate(terms, start=1):
-        acc += diffs[i] * num / den
+        term = np.multiply(diffs[i], num, out=term)
+        term /= den
+        acc += term
     return acc
 
 
@@ -167,8 +220,8 @@ class PredictedLayers(Sequence):
     correctors of the step it was predicted at.
     """
 
-    def __init__(self, diffs: list, terms: list):
-        self._diffs = diffs
+    def __init__(self, table: DiffTable, terms: list):
+        self._table = table
         self._terms = terms
         self._layers = [None] * len(terms)
 
@@ -176,9 +229,9 @@ class PredictedLayers(Sequence):
         return len(self._layers)
 
     def __getitem__(self, l) -> np.ndarray:
-        l = operator.index(l)
+        l = range(len(self._layers))[operator.index(l)]  # from 0, for DiffTable.layer
         if self._layers[l] is None:
-            self._layers[l] = extrapolate_layer(self._diffs[l], self._terms[l])
+            self._layers[l] = extrapolate_layer(self._table.layer(l), self._terms[l])
         return self._layers[l]
 
 
@@ -194,7 +247,8 @@ def predict(cache: AnchorCache, table: DiffTable, hist: SigmaHistory,
     The variation-rate corrector s changes only at an anchor, so it is taken
     once per difference table (stored in ``table.scales``), and each order's
     i! * K^i once per call; ``layer_weight`` is still looked up once per
-    (layer, order).
+    (layer, order). A hidden layer is read from the table's stacks as views,
+    when it is first read.
     """
     if not 1 <= k <= cfg.anchor_spacing - 1:
         raise ValueError(f"k must lie in [1, {cfg.anchor_spacing - 1}]")
@@ -212,8 +266,8 @@ def predict(cache: AnchorCache, table: DiffTable, hist: SigmaHistory,
     orders = [((-k) ** i, math.factorial(i) * cfg.anchor_spacing ** i) for i in range(1, m + 1)]
     terms = [[(num, den * (layer_weight(table, l, i) if use_dynamics else 1.0) * s)
               for i, (num, den) in enumerate(orders, start=1)]
-             for l in range(len(table.per_layer))]
-    layers = PredictedLayers(table.per_layer, terms)
+             for l in range(table.layer_count)]
+    layers = PredictedLayers(table, terms)
     layers[-1]  # built now: run_long reads only the final layer, right after this returns
     return LayerOutputs(layers, cache.shape)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from latentskip.core import EPS, SeededRng, check_kinds, mean, relative_l2, stats
+from latentskip.core import EPS, SeededRng, check_kinds, layer_means, mean, relative_l2, stats
 
 # Finite float64 values from subnormals to 1e300, signed zeros included.
 FLOATS = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
@@ -81,6 +81,25 @@ def test_reductions_bitwise_equal_numpy(x):
     assert np.array_equal(np.asarray(x), before)  # the input is not written to
 
 
+@given(layers=st.integers(0, 5), shape=st.sampled_from([(1,), (7,), (300,), (1, 1), (3, 50), (16, 128), (40, 9)]),
+       f_ordered=st.booleans(), seed=st.integers(0, 2**32), e=st.integers(-300, 300))
+def test_layer_means_bitwise_equal_each_layers_mean(layers, shape, f_ordered, seed, e):
+    # Stacks as the anchor cache holds them: layer first, each layer C- or F-contiguous, some past
+    # NumPy's 128-element pairwise-summation block.
+    dims = shape[::-1] if f_ordered else shape
+    x = SeededRng(seed).normal((layers, *dims)) * 10.0 ** e
+    if f_ordered:
+        x = x.transpose(0, *range(x.ndim - 1, 0, -1))
+    got = layer_means(x)
+    assert got.shape == (layers,)
+    assert [v.hex() for v in got.tolist()] == [mean(x[l]).hex() for l in range(layers)]
+
+
+def test_layer_means_empty_layer_rejected():
+    with pytest.raises(ValueError, match="^empty input$"):
+        layer_means(np.zeros((2, 0)))
+
+
 def test_relative_l2_examples():
     assert relative_l2(np.array([2.0, 0.0]), np.array([1.0, 0.0])) == 1.0
     assert relative_l2(np.zeros(2), np.zeros(2)) == 0.0
@@ -112,6 +131,15 @@ def test_relative_l2_finite_inputs_whose_norms_overflow(a, b, ratio):
 def test_relative_l2_rejects_nan_and_inf(a, b, name):
     with pytest.raises(ValueError, match=f"^{name} contains NaN or inf$"):
         relative_l2(np.array(a), np.array(b))
+
+
+@pytest.mark.parametrize("name", ["a", "b"])
+def test_relative_l2_rejects_complex(name):
+    # A float64 cast would keep only the real part, with a ComplexWarning.
+    args = {"a": np.ones(2), "b": np.ones(2)}
+    args[name] = args[name] + 1j
+    with pytest.raises(ValueError, match=f"^{name} must be real, got complex values$"):
+        relative_l2(**args)
 
 
 @pytest.mark.parametrize("a, b", [([1e305], [0.0]), ([1e308, 1e308], [1e-300, 0.0])],

@@ -122,6 +122,11 @@ class TestToyModel:
             with pytest.raises(ValueError, match="^cond must be real, got complex values$"):
                 call()
 
+    def test_complex_latent_rejected(self):
+        # A float64 cast would keep only the real part, with a ComplexWarning.
+        with pytest.raises(ValueError, match="^z must be real, got complex values$"):
+            build_model(0).eval(np.zeros((1, 8, 8)) + 1j, 0.5, np.zeros(8))
+
     def test_conditioning_frames_must_match_the_latent(self):
         m = build_model(0)
         conditioning = m.condition(SeededRng(1).normal((16, 8)), 16)
@@ -242,7 +247,7 @@ ARRAY_HOLDERS = {
     "MaskPair": lambda: MaskPair(np.zeros(3), np.ones(3)),
     "ToyModel": lambda: small_model(),
     "Conditioning": lambda: MODEL.condition(np.zeros(4), 2),
-    "DiffTable": lambda: DiffTable([[np.zeros(3)]]),
+    "DiffTable": lambda: DiffTable([np.empty(0)], [np.zeros(3)]),
 }
 
 
@@ -311,6 +316,35 @@ def test_eval_bitwise_equals_reference(fusion, layers, width, latent_dim, frames
     for g, c, r in zip(got, conditioned, ref):
         assert np.array_equal(g, r) and np.array_equal(c, r)
     assert all(np.array_equal(a, b) for a, b in zip(inputs, before))  # nothing the caller owns is written
+
+
+@pytest.mark.parametrize("shape", [{"layer_count": 2, "width": 2, "latent_dim": 3}, {},
+                                   {"layer_count": 16, "width": 128}])
+def test_hidden_stack_is_the_hidden_layers_without_a_copy(shape):
+    # The predictor's table reads every hidden layer from this one stack; a copy here would cost
+    # every anchor a (layers - 1) x frames x width copy, so eval must hand over the buffer's view.
+    model = build_model(0, **shape)
+    out = model.eval(SeededRng(1).normal((5, model.latent_dim)), 0.4, SeededRng(2).normal(8))
+    assert out.hidden.shape == (model.layer_count - 1, 5, model.width)
+    assert out.hidden_stack() is out.hidden
+    for l, h in enumerate(out.per_layer[:-1]):
+        assert np.shares_memory(out.hidden, h) and np.array_equal(out.hidden[l], h)
+        assert out.hidden[l].strides == h.strides
+    assert not np.shares_memory(out.hidden, out.per_layer[-1])
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_layers_from_a_list_are_stacked_once_in_their_own_layout(layout):
+    layers = [np.asarray(SeededRng(l).normal((4, 6)), order=layout) for l in range(4)]
+    out = LayerOutputs(layers, (4, 6))
+    assert out.hidden is None
+    stack = out.hidden_stack()
+    assert out.hidden is stack and out.hidden_stack() is stack
+    assert stack.shape == (3, 4, 6) and np.array_equal(stack, layers[:-1])
+    assert all(stack[l].flags[f"{layout}_CONTIGUOUS"] for l in range(3))
+    assert LayerOutputs([layers[0]], (4, 6)).hidden_stack().shape == (0,)  # no hidden layers
+    with pytest.raises(ValueError, match=re.escape("layer 1 has shape (4, 5), layer 0 has (4, 6)")):
+        LayerOutputs([layers[0], layers[1][:, :5], layers[3]], (4, 6)).hidden_stack()
 
 
 @settings(max_examples=60, deadline=None)

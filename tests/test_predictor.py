@@ -1,6 +1,8 @@
 import dataclasses
 import inspect
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 import latentskip.predictor as pred_mod
 from latentskip.core import EPS, SeededRng
-from latentskip.flow_model import LayerOutputs, SamplerConfig, build_model
+from latentskip.flow_model import LayerOutputs, SamplerConfig, build_model, stack_layers
 from latentskip.predictor import (AnchorCache, DiffTable, PredictorConfig, PredictorState,
                                   SigmaHistory, finite_differences, is_anchor_step, layer_weight,
                                   predict, scale_s)
@@ -30,6 +32,12 @@ def difference_rows(values: list) -> list:
     return out
 
 
+def layer_table(per_layer: list) -> DiffTable:
+    """The DiffTable whose layer l holds the rows per_layer[l], its hidden layers stacked per order."""
+    hidden = [stack_layers([rows[i] for rows in per_layer[:-1]]) for i in range(len(per_layer[-1]))]
+    return DiffTable(hidden, list(per_layer[-1]))
+
+
 def reference_layer_weight(table, layer, order):
     """The weight formula evaluated afresh at every query; layer_weight must equal it bitwise."""
     if order > table.max_order:
@@ -42,11 +50,25 @@ def reference_layer_weight(table, layer, order):
 class AbsCounting(np.ndarray):
     """An array that counts the np.abs calls made on it."""
 
+    abs_calls = 0
+
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is np.absolute:
             self.abs_calls += 1
         plain = [x.view(np.ndarray) if isinstance(x, AbsCounting) else x for x in inputs]
         return getattr(ufunc, method)(*plain, **kwargs)
+
+
+class UfuncCounting(np.ndarray):
+    """An array whose ufunc results are UfuncCounting arrays too; ``calls`` counts the ufunc calls on them."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        UfuncCounting.calls += 1
+        plain = [x.view(np.ndarray) if isinstance(x, UfuncCounting) else x for x in inputs]
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        return result.view(UfuncCounting) if isinstance(result, np.ndarray) else result
 
 
 @st.composite
@@ -67,7 +89,7 @@ def diff_tables(draw):
         per_layer.append([np.zeros(width) if i in zero_orders or draw(st.booleans())
                           else draw(arrays(np.float64, width, elements=values))
                           for i in range(max_order + 1)])
-    return DiffTable(per_layer)
+    return layer_table(per_layer)
 
 
 def reference_predict(cache, table, hist, k, cfg):
@@ -149,6 +171,28 @@ class TestAnchorCache:
         with pytest.raises(ValueError, match="anchor spacing violated"):
             cache.push(10, scalar_outputs(2.0))
 
+    @pytest.mark.parametrize("capacity", [1, 4])
+    def test_mismatched_layers_rejected(self, capacity):
+        # Unchecked, a (1, 3) hidden layer would broadcast against a cached (4, 3) one, and a missing
+        # layer would shift the final layer into the hidden ones.
+        rng = SeededRng(6)
+
+        def outputs(*shapes):
+            return LayerOutputs([rng.normal(shape) for shape in shapes], shapes[-1])
+
+        cache = AnchorCache(5, capacity)
+        cache.push(0, outputs((4, 3), (4, 3), (4, 2)))
+        cases = [(((1, 3), (1, 3), (4, 2)), "anchor's layer 0 has shape (1, 3), the cached anchors' has (4, 3)"),
+                 (((4, 3), (4, 3), (1, 2)), "anchor's layer 2 has shape (1, 2), the cached anchors' has (4, 2)"),
+                 (((4, 3), (4, 2)), "anchor has 2 layers, the cached anchors have 3"),
+                 (((4, 3), (4, 3), (4, 3), (4, 2)), "anchor has 4 layers, the cached anchors have 3")]
+        for shapes, message in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                cache.push(5, outputs(*shapes), SigmaHistory())
+            assert len(cache) == 1 and cache.newest_step == 0
+        cache.push(5, outputs((4, 3), (4, 3), (4, 2)))
+        assert len(cache) == min(2, capacity)
+
 
 class TestFiniteDifferences:
     def test_affine_signal(self):
@@ -199,6 +243,33 @@ class TestFiniteDifferences:
                            for got, ref in zip(rows, refs))
 
 
+    @pytest.mark.parametrize("as_list", [False, True], ids=["eval-stack", "plain-list"])
+    def test_deep_shape_rows_and_weights_bitwise(self, as_list):
+        # deep_single's model: 15 hidden layers of 16 frames x 128 = 2048 values, above NumPy's
+        # 128-element pairwise-summation block, a size no golden shape reaches. The stacked rows, and
+        # each order's one reduction over the stack, must equal the per-layer formulas bit for bit,
+        # from eval's stack and from the same values given as a plain list.
+        model = build_model(0, 16, 128, fusion_mode="ours")
+        rng = SeededRng(7)
+        z, cond = rng.normal((16, 64)), rng.normal((16, 8))
+        cache, history = AnchorCache(5, 4), []
+        for p, t in enumerate((1.0, 0.9, 0.8, 0.7, 0.6)):
+            out = model.eval(z * t, t, cond)
+            if as_list:
+                out = LayerOutputs(list(out.per_layer), out.shape)
+            history.insert(0, out.per_layer)
+            cache.push(5 * p, out)
+            table = finite_differences(cache)
+            expected = [difference_rows([layers[l] for layers in history[:4]]) for l in range(16)]
+            assert all(np.array_equal(got, ref) for rows, refs in zip(table.per_layer, expected)
+                       for got, ref in zip(rows, refs))
+            reference = SimpleNamespace(per_layer=expected, max_order=len(expected[0]) - 1)
+            assert table.max_order == reference.max_order == min(p, 3)
+            for l in range(16):
+                for i in range(table.max_order + 1):
+                    assert layer_weight(table, l, i).hex() == reference_layer_weight(reference, l, i).hex()
+
+
 class TestDynamics:
     def test_scale_neutral_when_sigma_equals_average(self):
         hist = SigmaHistory()
@@ -226,17 +297,17 @@ class TestDynamics:
         assert scale_s(hist, 1.5) == 1.0
 
     def test_layer_weight_uniform(self):
-        table = DiffTable([[np.array([3.0])], [np.array([3.0])], [np.array([-3.0])]])
+        table = layer_table([[np.array([3.0])], [np.array([3.0])], [np.array([-3.0])]])
         assert layer_weight(table, 0, 0) == pytest.approx(1.0)
 
     def test_layer_weight_examples(self):
-        table = DiffTable([[np.array([4.0])], [np.zeros(1)], [np.zeros(1)], [np.zeros(1)]])
+        table = layer_table([[np.array([4.0])], [np.zeros(1)], [np.zeros(1)], [np.zeros(1)]])
         assert layer_weight(table, 0, 0) == pytest.approx(0.5)
-        table = DiffTable([[np.array([0.25])], [np.array([1.75])]])
+        table = layer_table([[np.array([0.25])], [np.array([1.75])]])
         assert layer_weight(table, 0, 0) == pytest.approx(2.0)
 
     def test_layer_weight_missing_order(self):
-        table = DiffTable([[np.array([1.0])]])
+        table = layer_table([[np.array([1.0])]])
         with pytest.raises(ValueError):
             layer_weight(table, 0, 1)
 
@@ -252,18 +323,33 @@ class TestDynamics:
             layer_weight(table, 0, table.max_order + 1)
 
     def test_layer_weight_reduces_each_difference_once(self):
-        # One table answers all M*(n+1) queries, twice over, with one np.abs per difference.
+        # One table answers all M*(n+1) queries, twice over, with one np.abs per order over the
+        # hidden layers' stack and one over the final layer's row: 2 per order, not M.
         rng = SeededRng(3)
         layers, max_order = 4, 3
-        table = DiffTable([[rng.normal(6 if l < layers - 1 else 2).view(AbsCounting)
-                            for _ in range(max_order + 1)] for l in range(layers)])
-        for diffs in table.per_layer:
-            for d in diffs:
-                d.abs_calls = 0
+        plain = layer_table([[rng.normal(6 if l < layers - 1 else 2) for _ in range(max_order + 1)]
+                             for l in range(layers)])
+        table = DiffTable([h.view(AbsCounting) for h in plain.hidden], [f.view(AbsCounting) for f in plain.final])
         queries = [(l, i) for _ in range(2) for l in range(layers) for i in range(max_order + 1)]
         got = [layer_weight(table, l, i) for l, i in queries]
-        assert [d.abs_calls for diffs in table.per_layer for d in diffs] == [1] * layers * (max_order + 1)
-        assert got == [reference_layer_weight(table, l, i) for l, i in queries]
+        assert [d.abs_calls for d in table.hidden + table.final] == [1] * 2 * (max_order + 1)
+        assert got == [reference_layer_weight(plain, l, i) for l, i in queries]
+
+    @pytest.mark.parametrize("layers", [2, 9])
+    def test_hidden_layers_cost_a_fixed_number_of_numpy_calls_per_order(self, layers):
+        # Five anchors fill a capacity-4 cache, orders 0, 1, 2, 3 and 3: 9 subtractions over the hidden
+        # stack. The first weight query at each of the 4 orders takes one np.abs of it: 13 in all,
+        # whatever the layer count, since neither push nor the weights loop over the layers.
+        rng = SeededRng(4)
+        cache = AnchorCache(5, 4)
+        UfuncCounting.calls = 0
+        for p in range(5):
+            hidden = rng.normal((layers - 1, 3, 6)).view(UfuncCounting)
+            cache.push(5 * p, LayerOutputs([*hidden, rng.normal((3, 2))], (3, 2), hidden))
+        table = finite_differences(cache)
+        for i in range(table.max_order + 1):
+            layer_weight(table, 0, i)
+        assert UfuncCounting.calls == 13
 
 
 class TestPredict:
@@ -305,7 +391,7 @@ class TestPredict:
                 assert np.allclose(out.per_layer[l], expected, atol=1e-9)
 
     def test_empty_cache_rejected(self):
-        table = DiffTable([[np.zeros(1)]])
+        table = layer_table([[np.zeros(1)]])
         with pytest.raises(ValueError, match="empty anchor cache"):
             predict(AnchorCache(5, 4), table, SigmaHistory(), 1, PredictorConfig())
 
