@@ -3,6 +3,7 @@
 Every experiment runs the oracle (full evaluation at every step) and the
 configured accelerated pipeline on identical seeded inputs, then reports
 evaluation counts and relative-L2 errors against the oracle trajectory.
+A trajectory is saved as one NumPy ``.npy`` array of its latents.
 """
 
 from __future__ import annotations
@@ -10,11 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import math
 import os
 import stat
 import time
+import tokenize
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -30,12 +31,8 @@ CSV_HEADER = ["mode", "K", "n", "alpha", "T", "L", "l", "v",
 # ExperimentConfig's fields that are build_model parameters, as (field, parameter).
 MODEL_FIELDS = (("cond_dim", "cond_dim"), ("layers", "layer_count"), ("width", "width"), ("fusion", "fusion_mode"))
 
-TRAJECTORY_SCHEMA_VERSION = 3
 # dump_trajectory's write buffer is at most this, so a dump holds no more than it on top of the latents.
 WRITE_BUFFER_BYTES = 1 << 20
-# The longest header line a trajectory file may have, newline included: about 87k [16, 8, 8] shapes.
-# load_trajectory reads no further for the line, and dump_trajectory refuses a longer one.
-HEADER_LIMIT_BYTES = 1 << 20
 
 
 class TrajectoryFormatError(ValueError):
@@ -43,7 +40,7 @@ class TrajectoryFormatError(ValueError):
 
 
 class TrajectoryVersionError(ValueError):
-    """Trajectory file written with an unsupported schema version."""
+    """Trajectory file written in an unsupported ``.npy`` format version."""
 
 
 @dataclass(frozen=True)
@@ -216,93 +213,77 @@ def reports_to_csv(reports: list[MetricsReport]) -> str:
 
 
 def dump_trajectory(trajectory: list, path: str):
-    """Write latents as version 3: one JSON header line, then every tensor's raw bytes.
+    """Write latents of one shape as one NumPy ``.npy`` file (format 1.0), which ``np.load`` reads.
 
-    The header is ``{"version": 3, "shapes": [[...], ...]}`` and a newline.
-    The little-endian float64 bytes of each tensor follow in C order,
-    concatenated, with nothing after them. Every bit pattern, NaN payloads
-    included, round-trips, and equal latents give byte-identical files.
+    The bytes are ``np.save``'s for the stack of the latents as C-ordered
+    little-endian float64: NumPy's header for a ``(latents, *shape)`` array,
+    then every value. Every bit pattern, NaN payloads included, round-trips.
     Each latent's own memory (a C-contiguous little-endian float64 copy only
-    when it is not one already) goes through one buffered writer of at most
-    ``WRITE_BUFFER_BYTES`` and no larger than the file, so a file that fits
-    the buffer is one write. A header line longer than ``HEADER_LIMIT_BYTES``
-    is a ValueError, raised before the path is opened.
+    when it is not one already) follows the header through one buffered
+    writer of at most ``WRITE_BUFFER_BYTES`` and no larger than the file, so
+    nothing is stacked. An empty list, latents of different shapes and 0-d
+    latents are a ValueError, raised before the path is opened.
     """
     tensors = [np.asarray(z, dtype="<f8", order="C") for z in trajectory]
-    header = json.dumps({"version": TRAJECTORY_SCHEMA_VERSION, "shapes": [list(z.shape) for z in tensors]})
-    head = header.encode("ascii") + b"\n"
-    if len(head) > HEADER_LIMIT_BYTES:
-        raise ValueError(f"header line of {len(head)} bytes: load_trajectory reads at most {HEADER_LIMIT_BYTES}")
-    size = len(head) + sum(z.nbytes for z in tensors)
+    shapes = {z.shape for z in tensors}
+    if len(shapes) != 1 or () in shapes:
+        raise ValueError(f"latent shapes {sorted(shapes)}: a trajectory is one or more latents of one shape, "
+                         "each with a frame axis")
+    head = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        head, {"descr": "<f8", "fortran_order": False, "shape": (len(tensors), *tensors[0].shape)})
+    size = head.tell() + len(tensors) * tensors[0].nbytes
     with open(path, "wb", buffering=min(size, WRITE_BUFFER_BYTES)) as fh:
-        fh.write(head)
+        fh.write(head.getbuffer())
         for z in tensors:
             fh.write(z.data)
 
 
-def _header_shapes(line: bytes) -> list:
-    """The checked ``shapes`` of a file's first line, as ``load_trajectory`` describes."""
-    newline = line.endswith(b"\n")
-    try:
-        header = json.loads((line[:-1] if newline else line).decode("utf-8"))
-    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
-        raise TrajectoryFormatError(f"malformed trajectory header: {exc}") from exc
-    if not isinstance(header, dict) or "version" not in header:
-        raise TrajectoryFormatError("header must be a JSON object with a version field")
-    version = header["version"]
-    if type(version) is not int or version != TRAJECTORY_SCHEMA_VERSION:
-        raise TrajectoryVersionError(
-            f"unsupported version {version!r}: only version {TRAJECTORY_SCHEMA_VERSION} is read")
-    if not newline:
-        raise TrajectoryFormatError("version 3 header line does not end in a newline")
-    shapes = header.get("shapes")
-    if type(shapes) is not list or not all(
-            type(shape) is list and all(type(d) is int and d >= 0 for d in shape) for shape in shapes):
-        raise TrajectoryFormatError("shapes must be a list of lists of integers >= 0")
-    return shapes
-
-
 def load_trajectory(path: str) -> list:
-    """Read a version 3 file written by ``dump_trajectory``.
+    """Read a ``.npy`` file (format 1.0) of a ``(latents, frames, ...)`` float64 array, as ``dump_trajectory`` writes.
 
     Only a regular file is read: anything else (a FIFO, a directory) is a
-    ``TrajectoryFormatError`` raised before the path is opened. The first
-    line is read up to ``HEADER_LIMIT_BYTES`` and no further: it must end
-    in a newline within them and be a JSON object whose ``version`` is the
-    int 3. Any other version, such as a one-line version 1 or 2 JSON
-    document shorter than that limit, is a ``TrajectoryVersionError``
-    naming it. ``shapes`` must be a list of
-    lists of integers >= 0, and the rest of the file exactly 8 bytes per
-    value, checked against the file's size before anything is allocated.
-    Anything else is a ``TrajectoryFormatError``. The payload is read once,
-    straight into one little-endian float64 array, so the peak is about the
-    payload; the returned fresh, writable, C-contiguous arrays are views
-    that split it.
+    ``TrajectoryFormatError`` raised before the path is opened. A ``.npy``
+    version other than 1.0 is a ``TrajectoryVersionError`` naming it. A
+    ``TrajectoryFormatError`` is anything else that is not a ``<f8`` array
+    in C order with at least 2 dimensions, each >= 0: no ``.npy`` magic
+    string, a header NumPy's ``read_array_header_1_0`` refuses (its bound
+    is 10000 bytes), or a payload that is not exactly the rest of the file,
+    which is checked against the file's size before anything is allocated.
+    The payload is read once, straight into one array, so the peak is about
+    the payload; the returned fresh, writable, C-contiguous arrays are its
+    views, one per latent.
     """
     info = os.stat(path)
     if not stat.S_ISREG(info.st_mode):
         raise TrajectoryFormatError(f"{os.fspath(path)!r} is not a regular file")
-    # A small read buffer: it holds the header line, and the payload is read past it.
+    # A small read buffer: it holds the header, and the payload is read past it.
     with open(path, "rb", buffering=io.DEFAULT_BUFFER_SIZE) as fh:
-        line = fh.readline(HEADER_LIMIT_BYTES)
-        if len(line) == HEADER_LIMIT_BYTES and not line.endswith(b"\n"):
-            raise TrajectoryFormatError(f"no newline in the first {HEADER_LIMIT_BYTES} bytes: "
-                                        "the header line is longer than HEADER_LIMIT_BYTES")
-        shapes = _header_shapes(line)
-        counts = [math.prod(shape) for shape in shapes]
-        total = sum(counts)
-        size = info.st_size - len(line)
+        try:
+            version = np.lib.format.read_magic(fh)
+        except ValueError as exc:
+            raise TrajectoryFormatError(f"not a .npy file: {exc}") from exc
+        if version != (1, 0):
+            raise TrajectoryVersionError(f"unsupported .npy version {version[0]}.{version[1]}: only 1.0 is read")
+        try:
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+        # What NumPy's header parser (ast.literal_eval, then tokenize) raises on a malformed header.
+        except (ValueError, TypeError, SyntaxError, RecursionError, MemoryError, tokenize.TokenError) as exc:
+            raise TrajectoryFormatError(f"malformed .npy header: {exc}") from exc
+        if dtype != np.dtype("<f8") or fortran_order:
+            raise TrajectoryFormatError(f"{dtype.str} data in {'Fortran' if fortran_order else 'C'} order: "
+                                        "only <f8 in C order is read")
+        if len(shape) < 2 or min(shape) < 0:
+            raise TrajectoryFormatError(f"shape {shape}: expected (latents, frames, ...), every dimension >= 0")
+        total = math.prod(shape)
+        size = info.st_size - fh.tell()
         if size != 8 * total:
             raise TrajectoryFormatError(f"{size} payload bytes for {total} values, expected {8 * total}")
         flat = np.empty(total, dtype="<f8")
         read = fh.readinto(flat)
         if read != size:  # the file shrank after it was sized
             raise TrajectoryFormatError(f"{read} payload bytes for {total} values, expected {size}")
-    tensors, start = [], 0
-    for shape, count in zip(shapes, counts):
-        try:
-            tensors.append(flat[start:start + count].reshape(shape))
-        except ValueError as exc:  # a zero-size shape with a dimension beyond NumPy's limits
-            raise TrajectoryFormatError(f"bad shape {shape}: {exc}") from exc
-        start += count
-    return tensors
+    try:
+        return list(flat.reshape(shape))
+    except ValueError as exc:  # a zero-size shape beyond NumPy's limits, or over 64 dimensions
+        raise TrajectoryFormatError(f"bad shape {shape}: {exc}") from exc

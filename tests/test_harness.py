@@ -18,8 +18,9 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from latentskip import harness
 from latentskip.cli import _add_run_flags, _load_config, main
+from latentskip.core import SeededRng
 from latentskip.flow_model import build_model
-from latentskip.harness import (CSV_HEADER, HEADER_LIMIT_BYTES, ExperimentConfig, TrajectoryFormatError,
+from latentskip.harness import (CSV_HEADER, ExperimentConfig, TrajectoryFormatError,
                                 TrajectoryVersionError, ablation_sweep, dump_trajectory,
                                 load_trajectory, reports_to_csv, run_experiment)
 
@@ -168,34 +169,37 @@ class TestAblation:
 
 
 EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, MAX_FLOAT, -MAX_FLOAT])
-SHAPES = array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
 # Raw float64 bit patterns: any uint64, plus +-inf and NaNs with payloads, quiet and signalling.
 BIT_PATTERNS = st.integers(0, 2**64 - 1) | st.sampled_from(
     [0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000, 0x7FF8000000000001,
      0x7FF0000000000001, 0xFFF4000000000ABC, 0xFFFFFFFFFFFFFFFF])
-# Layouts dump_trajectory must accept: views that are not C-contiguous, and big-endian copies.
+# Layouts dump_trajectory must accept, each keeping the latent's shape: Fortran order, a strided
+# view, and big-endian copies.
 LAYOUTS = st.sampled_from([
     lambda a: a,
-    lambda a: a.T,
-    lambda a: a[::2] if a.ndim else a,
-    lambda a: a.T[::-2] if a.ndim else a,
+    np.asfortranarray,
+    lambda a: np.repeat(a, 2, axis=0)[::2],
     lambda a: a.astype(">f8"),
-    lambda a: a.astype(">f8").T,
+    lambda a: np.asfortranarray(a.astype(">f8")),
 ])
-TENSORS = st.lists(
-    st.builds(lambda a, layout: layout(a),
-              arrays(np.float64, SHAPES,
-                     elements=st.floats(allow_nan=False, allow_infinity=False) | EDGE_FLOATS)
-              | arrays(np.uint64, SHAPES, elements=BIT_PATTERNS).map(lambda a: a.view(np.float64)),
-              LAYOUTS),
-    max_size=5)
+
+
+@st.composite
+def trajectories(draw):
+    """1-5 latents of one shape (zero-size frames included), each in a layout of its own."""
+    shape = (draw(st.integers(1, 5)),) + draw(array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4))
+    stacked = draw(arrays(np.float64, shape,
+                          elements=st.floats(allow_nan=False, allow_infinity=False) | EDGE_FLOATS)
+                   | arrays(np.uint64, shape, elements=BIT_PATTERNS).map(lambda a: a.view(np.float64)))
+    return [draw(LAYOUTS)(z) for z in stacked]
 
 
 def f8(*values) -> bytes:
     return np.asarray(values, dtype="<f8").tobytes()
 
 
-# Version 3 files that load_trajectory must reject as malformed: a header line, then the payload.
+# Files in the former version 3 layout (a JSON header line, then the payload), malformed ones included.
+# None is a .npy file, so load_trajectory refuses each.
 BAD_V3_FILES = {
     "header not json": b'{"version": 3, "shapes": [[1]]\n' + f8(1.0),
     "header not an object": b'[3, [[1]]]\n' + f8(1.0),
@@ -217,6 +221,57 @@ BAD_V3_FILES = {
     "5001-digit integer": b'{"version": 3, "shapes": [[1' + b"0" * 5000 + b']]}\n' + f8(1.0),
 }
 
+MAGIC = b"\x93NUMPY\x01\x00"
+
+
+def npy(header: str, payload: bytes = b"", magic: bytes = MAGIC) -> bytes:
+    """A file of ``.npy`` format 1.0 with ``header`` as written, unpadded."""
+    text = header.encode("latin1")
+    return magic + len(text).to_bytes(2, "little") + text + payload
+
+
+def npy_header(shape, descr="<f8", fortran_order=False) -> str:
+    return repr({"descr": descr, "fortran_order": fortran_order, "shape": shape})
+
+
+# .npy files that load_trajectory must reject as malformed.
+BAD_NPY_FILES = {
+    # The version 3 layout the program wrote before it wrote .npy files.
+    "version 3 file": b'{"version": 3, "shapes": [[2], [1, 1]]}\n' + f8(1.0, -2.0, 0.5),
+    "bad magic": b"\x93NUMPX\x01\x00" + npy(npy_header((1, 1)), f8(1.0))[8:],
+    "short magic": MAGIC[:5],
+    "short header length": MAGIC + b"\x10",
+    "short header": MAGIC + b"\x10\x00{'descr'",
+    "header not a literal": npy("{'descr': '<f8', 'fortran_order': False, 'shape': tuple()}"),
+    "header not a dict": npy("[1, 1]"),
+    "shape missing": npy("{'descr': '<f8', 'fortran_order': False}", f8(1.0)),
+    "shape not a tuple": npy(npy_header([1, 1]), f8(1.0)),
+    "float dim": npy(npy_header((1, 1.0)), f8(1.0)),
+    # What the header parser raises past ValueError: TokenError, TypeError, IndentationError,
+    # RecursionError and MemoryError (Python's parser stack).
+    "nested parentheses": npy("(" * 4000 + ")" * 4000),
+    "unclosed parentheses": npy("{'shape': " + "(" * 300),
+    "unhashable key": npy("{[]: 1}"),
+    "bad indentation": npy("  x\n y"),
+    "deep sum": npy("1" + "+1" * 3000),
+    "deep unary minus": npy("-" * 9000 + "1"),
+    "header over numpy's bound": npy(npy_header((1, 1)) + " " * 10_000, f8(1.0)),
+    "5001-digit integer": npy("{'descr': '<f8', 'fortran_order': False, 'shape': (1, 1" + "0" * 5000 + ")}", f8(1.0)),
+    "big-endian": npy(npy_header((1, 1), ">f8"), f8(1.0)),
+    "float32": npy(npy_header((1, 1), "<f4"), bytes(4)),
+    "object": npy(npy_header((1, 1), "|O"), bytes(8)),
+    "fortran order": npy(npy_header((2, 2), fortran_order=True), f8(1.0, 2.0, 3.0, 4.0)),
+    "0-d": npy(npy_header(()), f8(1.0)),
+    "1-d": npy(npy_header((2,)), f8(1.0, 2.0)),
+    "negative dim, zero count": npy(npy_header((-1, 0))),
+    "negative dims, positive count": npy(npy_header((-1, -1)), f8(1.0)),
+    "truncated payload": npy(npy_header((2, 1)), f8(1.0)),
+    "partial float": npy(npy_header((1, 1)), bytes(7)),
+    "one trailing byte": npy(npy_header((1, 1)), f8(1.0) + b"\0"),
+    "zero-size shape beyond numpy": npy(npy_header((0, 2**63))),
+    "65 dimensions": npy(npy_header((1,) * 65), f8(1.0)),
+}
+
 
 def assert_fresh_float64(a):
     assert a.dtype == np.dtype(np.float64)
@@ -225,10 +280,10 @@ def assert_fresh_float64(a):
 
 class TestTrajectoryIO:
     @settings(max_examples=100, deadline=None)
-    @given(traj=TENSORS)
+    @given(traj=trajectories())
     def test_round_trip_bitwise(self, traj):
         with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "traj.json")
+            path = os.path.join(tmp, "traj.npy")
             dump_trajectory(traj, path)
             loaded = load_trajectory(path)
         assert len(loaded) == len(traj)
@@ -237,23 +292,39 @@ class TestTrajectoryIO:
             assert np.ascontiguousarray(a, dtype=np.float64).tobytes() == b.tobytes()
             assert_fresh_float64(b)
 
-    def test_version_3_layout(self, tmp_path):
-        path = tmp_path / "traj.bin"
-        dump_trajectory([np.array([1.0, -2.0]), np.array([[0.5]])], path)
-        assert path.read_bytes() == (b'{"version": 3, "shapes": [[2], [1, 1]]}\n'
-                                     + bytes.fromhex("000000000000f03f" "00000000000000c0" "000000000000e03f"))
+    @pytest.mark.parametrize("shape, count", [((2,), 1), ((16, 8, 8), 3), ((0, 5), 2), ((3, 1, 2, 1), 4)],
+                             ids=["one 1-d latent", "16 frames", "zero frames", "four dims"])
+    def test_file_is_np_save_of_the_stack(self, tmp_path, shape, count):
+        trajectory = list(SeededRng(count).normal((count,) + shape))
+        path = tmp_path / "traj.npy"
+        dump_trajectory(trajectory, path)
+        saved = io.BytesIO()
+        np.save(saved, np.stack(trajectory))
+        assert path.read_bytes() == saved.getvalue()
 
-    @pytest.mark.parametrize("version, content", [
-        # How versions 1 and 2 were written: json.dump of one document, one line with no newline.
-        # Version 2 held base64 records; "AAAAAAAA8D8=" is the little-endian bytes of 1.0.
-        (1, json.dumps({"version": 1, "tensors": [{"shape": [2], "data": [1.0, -2.0]}]}).encode()),
-        (2, json.dumps({"version": 2, "tensors": [{"shape": [1], "data": "AAAAAAAA8D8="}]}).encode()),
-        (4, b'{"version": 4, "shapes": [[1]]}\n' + f8(1.0)),
-    ], ids=["version 1", "version 2", "version 4"])
-    def test_other_versions_refused_by_name(self, tmp_path, version, content):
-        path = tmp_path / "traj.json"
-        path.write_bytes(content)
-        with pytest.raises(TrajectoryVersionError, match=f"unsupported version {version}: only version 3 is read"):
+    def test_reads_what_np_save_writes(self, tmp_path):
+        array = SeededRng(4).normal((3, 4, 2))
+        path = tmp_path / "traj.npy"
+        np.save(path, array)
+        loaded = load_trajectory(path)
+        assert len(loaded) == 3 and np.array_equal(np.stack(loaded), array)
+
+    @pytest.mark.parametrize("trajectory", [[], [np.zeros(2), np.zeros(3)], [np.zeros((2, 2)), np.zeros((2, 2, 1))],
+                                            [np.float64(1.0)], [np.zeros(())] * 2],
+                             ids=["empty", "lengths differ", "dimensions differ", "scalar", "0-d arrays"])
+    def test_dump_refuses_what_no_caller_writes(self, tmp_path, trajectory):
+        path = tmp_path / "traj.npy"
+        with pytest.raises(ValueError):
+            dump_trajectory(trajectory, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("version", [(2, 0), (3, 0), (1, 1)], ids=["version 2", "version 3", "version 1.1"])
+    def test_other_versions_refused_by_name(self, tmp_path, version):
+        # NumPy's format versions 2.0 and 3.0, and a minor version after 1.0: refused before the header is read.
+        path = tmp_path / "traj.npy"
+        path.write_bytes(npy(npy_header((2, 1)), f8(1.0, 2.0), magic=MAGIC[:-2] + bytes(version)))
+        with pytest.raises(TrajectoryVersionError, match=r"unsupported \.npy version {}\.{}: only 1\.0 is read"
+                           .format(*version)):
             load_trajectory(path)
 
     @pytest.mark.parametrize("content", BAD_V3_FILES.values(), ids=BAD_V3_FILES.keys())
@@ -263,17 +334,18 @@ class TestTrajectoryIO:
         with pytest.raises(TrajectoryFormatError):
             load_trajectory(path)
 
+    @pytest.mark.parametrize("content", BAD_NPY_FILES.values(), ids=BAD_NPY_FILES.keys())
+    def test_malformed_npy_file_rejected(self, tmp_path, content):
+        path = tmp_path / "traj.npy"
+        path.write_bytes(content)
+        with pytest.raises(TrajectoryFormatError):
+            load_trajectory(path)
+
     def test_truncated_file_is_schema_error(self, tmp_path):
         path = tmp_path / "traj.json"
         dump_trajectory([np.zeros((2, 2))], path)
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(TrajectoryFormatError):
-            load_trajectory(path)
-
-    def test_version_mismatch(self, tmp_path):
-        path = tmp_path / "traj.json"
-        path.write_text(json.dumps({"version": 99, "tensors": []}))
-        with pytest.raises(TrajectoryVersionError, match="unsupported version"):
             load_trajectory(path)
 
     @pytest.mark.parametrize("frames", [16, 64])
@@ -320,35 +392,18 @@ class TestTrajectoryIO:
         assert load_peak <= 1.05 * payload
         assert len(loaded) == 51 and np.array_equal(loaded[-1], trajectory[-1])
 
-    def test_header_read_is_bounded(self, tmp_path):
-        # No newline in a file 8x HEADER_LIMIT_BYTES: refused once the limit is read, not the file.
-        path = tmp_path / "traj.bin"
-        path.write_bytes(b'{"version": 3, "shapes": [' + b" " * (8 * HEADER_LIMIT_BYTES))
+    def test_claimed_size_is_checked_before_allocating(self, tmp_path):
+        # A header claiming 10**12 values over one: np.load or np.fromfile would allocate before sizing.
+        path = tmp_path / "traj.npy"
+        path.write_bytes(npy(npy_header((10**6, 10**6)), f8(1.0)))
         tracemalloc.start()
         try:
-            with pytest.raises(TrajectoryFormatError, match=f"no newline in the first {HEADER_LIMIT_BYTES} bytes"):
+            with pytest.raises(TrajectoryFormatError, match="8 payload bytes for 1000000000000 values"):
                 load_trajectory(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * HEADER_LIMIT_BYTES + 2**16  # the line and the chunks it is joined from
-
-    def test_header_limit_is_inclusive(self, tmp_path):
-        # A header line of exactly HEADER_LIMIT_BYTES, newline included, is read; one byte more is not.
-        path, body = tmp_path / "traj.bin", b'{"version": 3, "shapes": []'
-        fill = HEADER_LIMIT_BYTES - len(body) - 2  # "}\n" ends the line
-        path.write_bytes(body + b" " * fill + b"}\n")
-        assert load_trajectory(path) == []
-        path.write_bytes(body + b" " * (fill + 1) + b"}\n")
-        with pytest.raises(TrajectoryFormatError, match="longer than HEADER_LIMIT_BYTES"):
-            load_trajectory(path)
-
-    def test_dump_refuses_a_header_load_would_not_read(self, tmp_path):
-        # 50k zero-size latents of shape (0, 10**15): 23 header bytes each, over 1 MiB in all.
-        path = tmp_path / "traj.bin"
-        with pytest.raises(ValueError, match=f"load_trajectory reads at most {HEADER_LIMIT_BYTES}"):
-            dump_trajectory([np.empty((0, 10**15))] * 50_000, path)
-        assert not path.exists()
+        assert peak < 2**16
 
     def test_only_regular_files_are_read(self, tmp_path):
         # A FIFO would block an open until a writer came; it is refused before it is opened.
@@ -404,6 +459,14 @@ class TestCli:
         assert p1.read_bytes() == p2.read_bytes()
         loaded = load_trajectory(p1)
         assert len(loaded) == 11
+
+    def test_sample_out_is_the_array_np_load_reads(self, tmp_path, capsys):
+        path = tmp_path / "traj.npy"
+        assert main(["sample", "-T", "50", "-L", "16", "--out", str(path)]) == 0
+        array = np.load(path)
+        assert array.shape == (51, 16, 8, 8) and array.dtype == np.float64
+        reference = run_experiment(ExperimentConfig(steps=50, frames=16), keep_trajectory=True).trajectory
+        assert array.tobytes() == np.stack(reference).tobytes()
 
     def test_sample_unwritable_out_prints_no_row(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.json"

@@ -2,11 +2,11 @@ import ast
 import importlib
 import importlib.util
 import inspect
-import json
 import re
 from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import latentskip
@@ -170,14 +170,15 @@ def test_every_benchmark_span_has_a_hook_target():
 
 
 def test_trajectory_file_size(tmp_path, capsys):
-    # trajectory_roundtrip's request: 51 latents of 16 frames x 64 values, written as raw float64
-    # after one header line. A text-encoded payload (decimal lists, base64) would be longer.
-    path = tmp_path / "trajectory.bin"
+    # trajectory_roundtrip's request: 51 latents of 16 frames x 64 values, written as one .npy array of
+    # raw float64 after NumPy's header (417920 B in all). A text-encoded payload would be longer.
+    path = tmp_path / "trajectory.npy"
     assert main(["sample", "-T", "50", "-L", "16", "--out", str(path)]) == 0
-    content = path.read_bytes()
-    header = content[:content.index(b"\n") + 1]
-    assert json.loads(header) == {"version": 3, "shapes": [[16, 8, 8]] * 51}
-    assert len(content) == len(header) + 8 * 51 * 16 * 64
+    with open(path, "rb") as fh:
+        assert np.lib.format.read_magic(fh) == (1, 0)
+        assert np.lib.format.read_array_header_1_0(fh) == ((51, 16, 8, 8), False, np.dtype("<f8"))
+        header = fh.tell()
+    assert path.stat().st_size == header + 8 * 51 * 16 * 64
 
 
 # Per-layer counts of the sampler request below: 3 layers, 12 frames in windows of 8 with overlap 4
