@@ -296,7 +296,9 @@ class PredictorState:
         if is_anchor_step(step_index, self.cfg):
             out = model.eval(z, t, cond)
             self.evals += 1
-            self.cache.push(step_index, out, self.hist)
+            # With dynamics off nothing reads a hidden layer, so the table keeps the final layer's only.
+            kept = out if self.cfg.dynamics_enabled else LayerOutputs(out.per_layer[-1:], out.shape)
+            self.cache.push(step_index, kept, self.hist)
             self.table = finite_differences(self.cache)
             return out
         if self.table is None:

@@ -489,10 +489,11 @@ class TestPredict:
     def test_layer_read_after_next_anchor_keeps_predict_time_value(self, data):
         # The next anchor records a new sigma and replaces the table, so a layer
         # built from the state at read time would differ from one built at predict time.
+        # Dynamics on: with them off a predicted step has no hidden layer to read.
         layers = data.draw(st.integers(2, 5))
         hidden, final = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=2, unique=True))
         spacing, max_order = data.draw(st.integers(2, 5)), data.draw(st.integers(0, 3))
-        cfg = PredictorConfig(spacing, max_order, data.draw(st.floats(0.5, 1.5)), data.draw(st.booleans()))
+        cfg = PredictorConfig(spacing, max_order, data.draw(st.floats(0.5, 1.5)), True)
         anchors = data.draw(st.integers(1, max_order + 2))
         values = st.floats(-10, 10, allow_nan=False)
         outputs = [LayerOutputs([data.draw(arrays(np.float64, final if l == layers - 1 else hidden,
@@ -511,6 +512,15 @@ class TestPredict:
             state.step(model, None, 0.0, None, j)
         assert state.evals == anchors + 1
         assert all(np.array_equal(got, want) for got, want in zip(out.per_layer, expected))
+
+    def test_dynamics_off_keeps_only_the_final_layer(self):
+        # Nothing reads a hidden layer with dynamics off, so none is tabled or predicted.
+        model = build_model(0, layer_count=4, width=8, latent_dim=4, cond_dim=2)
+        z, cond = SeededRng(1).normal((5, 4)), SeededRng(2).normal((5, 2))
+        state = PredictorState(PredictorConfig(3, 2, dynamics_enabled=False))
+        outs = [state.step(model, z, 1 - j / 8, cond, j) for j in range(8)]
+        assert [len(out) for out in outs] == [4, 1, 1, 4, 1, 1, 4, 1]
+        assert [h.shape for h in state.cache.hidden] == [(0,)] * 3 and state.table.layer_count == 1
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latentskip import norm_fusion, predictor, windows
-from latentskip.core import SeededRng
+from latentskip.core import SeededRng, relative_l2
 from latentskip.flow_model import FUSION_MODES, LayerOutputs, SamplerConfig, build_model
+from latentskip.harness import ExperimentConfig
 from latentskip.predictor import PredictorConfig
 from latentskip.windows import (WindowPlan, blend_overlap, blend_weights, plan_windows, run_long,
                                 sample_accelerated, sample_full)
@@ -511,3 +512,21 @@ def test_cond_whose_moments_overflow_runs_without_moments():
     z, cond = SeededRng(3).normal((4, 64)), np.full(8, 1e308)
     trajectory, _ = sample_full(build_model(0, fusion_mode="baseline-add"), z, cond, SamplerConfig(steps=5))
     assert np.isfinite(trajectory[-1]).all()
+
+
+def test_skipping_error_is_below_the_oracles_own():
+    # The converged flow is Richardson's 2 f_3200 - f_1600 (Euler's error is first order in dt). At the
+    # default config with dynamics off, the accelerated final strays from the T=50 oracle's less than
+    # that oracle strays from the flow.
+    base = ExperimentConfig(dynamics_enabled=False)
+    for seed in range(5):
+        model = build_model(seed, base.layers, base.width, latent_dim=int(np.prod(base.frame_shape)),
+                            cond_dim=base.cond_dim, fusion_mode=base.fusion)
+        inputs = SeededRng(seed + 1)  # run_experiment's inputs for this seed
+        z, cond = inputs.normal((base.frames, *base.frame_shape)), inputs.normal((base.frames, base.cond_dim))
+        final = {steps: run_long(model, z, cond, base.plan, SamplerConfig(steps))[0][-1] for steps in (1600, 3200)}
+        converged = 2 * final[3200] - final[1600]
+        assert relative_l2(converged, final[3200]) < 1e-4
+        oracle = run_long(model, z, cond, base.plan, base.sampler)[0][-1]
+        accel = run_long(model, z, cond, base.plan, base.sampler, base.predictor)[0][-1]
+        assert relative_l2(accel, oracle) < relative_l2(oracle, converged)
