@@ -13,11 +13,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FeatureStats, SeededRng, at_least, check_kinds, check_rule, mean, require_finite, require_real
-from .norm_fusion import FUSION_MODES, MODE_RULE, READS_IMAGE_MOMENTS, image_moments, normalize_portrait
-# Bound under this name because perfbench/tracer.py times fusion by wrapping flow_model.fuse_streams.
-# The kernel runs unchecked: Conditioning checked its streams and moments once, when built.
-from .norm_fusion import fuse_kernel as fuse_streams
+from .core import SeededRng, at_least, check_kinds, check_rule, mean, require_finite, require_real
+from .norm_fusion import FUSION_MODES, MODE_RULE, fuse_kernel, image_moments, normalize_portrait
+
+
+def fuse_streams(x: np.ndarray, fused: np.ndarray) -> None:
+    """The step's half of the fusion: ``x += fused``, unchecked; ``Conditioning`` checked ``fused`` once.
+
+    A module-level function that ``ToyModel.eval`` looks up once per layer,
+    because perfbench/tracer.py times the fusion by wrapping it.
+    """
+    x += fused
 
 
 def stack_layers(layers: Sequence) -> np.ndarray:
@@ -98,17 +104,16 @@ class MaskPair:
 class Conditioning:
     """One cond's step-invariant conditioning for ``frames`` frames, from ``ToyModel.condition``.
 
-    ``layers[m]`` is layer m's triple (image stream, its moments, normalized
-    portrait stream), the streams feature-major, of shape (layer_width,
-    frames), as ``eval`` adds them to its layer products. No step
-    changes either stream, so both streams' moments are taken once per
-    window, and ``ToyModel.eval`` runs only the scale, shift and add of the
-    fusion (``fuse_kernel``, unchecked) at every step. What the kernel
-    needs is checked here, once, when the conditioning is built: a known
-    fusion mode, one triple per layer of ``model``, both streams float64 of
-    shape (layer_width, frames), and the image moments present exactly for
-    the modes in ``norm_fusion.READS_IMAGE_MOMENTS``. ``model`` is the model
-    that built it; ``eval`` rejects a conditioning any other model built.
+    ``layers[m]`` is layer m's fused conditioning: the portrait stream
+    aligned to the image stream and added to it (``norm_fusion.fuse_kernel``),
+    feature-major, of shape (layer_width, frames), as ``eval`` adds it to its
+    layer products. No step changes either stream, so the whole fusion runs
+    once per window, and ``ToyModel.eval`` only adds each layer's array
+    (``fuse_streams``, unchecked) at every step. What that add needs is
+    checked here, once, when the conditioning is built: a known fusion mode
+    and one float64 array of shape (layer_width, frames) per layer of
+    ``model``. ``model`` is the model that built it; ``eval`` rejects a
+    conditioning any other model built.
     """
 
     frames: int
@@ -116,25 +121,15 @@ class Conditioning:
     model: ToyModel = field(repr=False)
 
     def __post_init__(self):
-        mode = self.model.fusion_mode
-        check_rule(MODE_RULE, mode, "fusion_mode")
+        check_rule(MODE_RULE, self.model.fusion_mode, "fusion_mode")
         if len(self.layers) != self.model.layer_count:
             raise ValueError(f"conditioning has {len(self.layers)} layers, "
                              f"the model has {self.model.layer_count}")
-        reads_moments = mode in READS_IMAGE_MOMENTS
-        for m, (w, layer) in enumerate(zip(self.model.weights, self.layers)):
-            if len(layer) != 3:
-                raise ValueError(f"layer {m} holds {len(layer)} items, not (image stream, moments, portrait stream)")
-            s_img, si, p = layer
+        for m, (w, fused) in enumerate(zip(self.model.weights, self.layers)):
             shape = (w["Abc"].shape[0], self.frames)
-            for name, stream in (("image", s_img), ("portrait", p)):
-                if not (isinstance(stream, np.ndarray) and stream.dtype == np.float64
-                        and stream.shape == shape):
-                    raise ValueError(f"layer {m}'s {name} stream must be a float64 array of shape "
-                                     f"{shape}, got {type(stream).__name__} of shape {np.shape(stream)}")
-            if not (isinstance(si, FeatureStats) if reads_moments else si is None):
-                need = "needs the image stream's moments" if reads_moments else "reads no image moments"
-                raise ValueError(f"layer {m}: fusion mode {mode!r} {need}, got {si!r}")
+            if not (isinstance(fused, np.ndarray) and fused.dtype == np.float64 and fused.shape == shape):
+                raise ValueError(f"layer {m}'s fused conditioning must be a float64 array of shape "
+                                 f"{shape}, got {type(fused).__name__} of shape {np.shape(fused)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,8 +141,8 @@ class ToyModel:
     stream according to ``fusion_mode``. Applied per frame to a latent of
     shape (frames, *frame) with prod(frame) == latent_dim; the last layer
     returns to the frame width so the final output is a velocity. The
-    streams do not depend on the step, so a sampler builds them once per
-    window with ``condition`` and passes the result to every ``eval``.
+    fused streams do not depend on the step, so a sampler builds them once
+    per window with ``condition`` and passes the result to every ``eval``.
 
     Each layer stores A_m, b_m and c_m side by side in one C-ordered block
     ``Abc`` = [A | b | c] of shape (out, in + 2). ``eval`` runs feature-major:
@@ -206,9 +201,9 @@ class ToyModel:
         hidden[:, -2], hidden[:, -1] = 1.0, t
         stack = hidden[:, :-2]  # every block's output rows
         hin, outs = first, []
-        for m, (w, (s_img, si, p)) in enumerate(zip(self.weights, cond.layers, strict=True)):
+        for m, (w, fused) in enumerate(zip(self.weights, cond.layers, strict=True)):
             x = w["Abc"] @ hin
-            x += fuse_streams(s_img, si, p, self.fusion_mode)
+            fuse_streams(x, fused)
             if m == self.layer_count - 1:
                 outs.append(np.tanh(x, out=x).T.copy())
             else:
@@ -217,15 +212,17 @@ class ToyModel:
         return LayerOutputs(outs, z.shape, stack.transpose(0, 2, 1))
 
     def condition(self, cond, frames: int) -> Conditioning:
-        """Project a shared (cond_dim,) or per-frame (frames, cond_dim) cond into every layer's streams.
+        """Fuse a shared (cond_dim,) or per-frame (frames, cond_dim) cond into every layer's conditioning.
 
         Each stream is built feature-major, ``P @ cond2d.T`` of shape
-        (layer_width, frames), the layout of eval's layer products. Both
-        streams' moments are taken here, once: the portrait stream is
-        normalized and the image stream's moments are kept. A complex cond,
-        or moments that are NaN or inf (a cond holding NaN or inf, or one that
-        overflows float64 in them), is a ValueError naming ``cond``.
-        ``eval`` runs the rest of the fusion.
+        (layer_width, frames), the layout of eval's layer products. The
+        whole fusion runs here, once: both streams' moments are taken, then
+        the portrait stream is aligned to the image stream and added to it.
+        A complex cond, a None cond, or moments that are NaN or inf (a cond
+        holding NaN or inf, or one that overflows float64 in them), is a
+        ValueError naming ``cond``. A fused value that overflows float64 is
+        inf, which the layer's tanh saturates, as a step's overflow does.
+        ``eval`` adds each layer's fused array to its layer product.
         """
         check_rule(MODE_RULE, self.fusion_mode, "fusion_mode")  # a bad mode is not the cond's fault
         cond2d_t = self._cond_frames(cond, frames).T
@@ -233,13 +230,18 @@ class ToyModel:
         for m, w in enumerate(self.weights):
             s_img = w["P_img"] @ cond2d_t
             try:
-                layers.append((s_img, image_moments(s_img, self.fusion_mode),
-                               normalize_portrait(w["P_p"] @ cond2d_t, self.fusion_mode)))
+                si = image_moments(s_img, self.fusion_mode)
+                p = normalize_portrait(w["P_p"] @ cond2d_t, self.fusion_mode)
             except ValueError as exc:
                 raise ValueError(f"cond: layer {m}'s fusion fails: {exc}") from None
+            with np.errstate(over="ignore"):
+                layers.append(fuse_kernel(s_img, si, p, self.fusion_mode))
         return Conditioning(frames, tuple(layers), self)
 
     def _cond_frames(self, cond, frames: int) -> np.ndarray:
+        if cond is None:  # np.asarray would make it a 0-d NaN
+            raise ValueError(f"cond is None: a ToyModel takes a shared ({self.cond_dim},) "
+                             f"or a per-frame ({frames}, {self.cond_dim}) cond")
         require_real(cond=cond)
         cond = np.asarray(cond, dtype=np.float64)
         if cond.ndim == 1:

@@ -8,9 +8,9 @@ portrait stream by its own moments, and ``image_moments`` takes the image
 stream's moments for the modes in ``READS_IMAGE_MOMENTS``. ``fuse_kernel``,
 internal and unchecked, aligns the normalized portrait stream to those
 moments and adds the image stream. No denoising step changes either stream,
-so the model takes both streams' moments once per window, checks them once
-(``flow_model.Conditioning``) and runs only the kernel at every layer of
-every step. The other modes are the ablation baselines.
+so the model runs all of this once per window, in ``ToyModel.condition``,
+and at every layer of every step only adds the fused result
+(``flow_model.fuse_streams``). The other modes are the ablation baselines.
 """
 
 from __future__ import annotations
@@ -66,10 +66,10 @@ def image_moments(z_img: np.ndarray, mode: str = "ours") -> FeatureStats | None:
 def fuse_kernel(z_img: np.ndarray, si: FeatureStats | None, p: np.ndarray, mode: str) -> np.ndarray:
     """Fuse ``p = normalize_portrait(z_p, mode)`` into ``z_img`` given ``si = image_moments(z_img, mode)``.
 
-    Checks nothing: the caller guarantees a known mode, float64 streams of
-    one shape, and ``si`` present exactly for the modes in
-    ``READS_IMAGE_MOMENTS``. A stream of another shape would broadcast
-    silently. Neither stream is written to.
+    Checks nothing: the caller (``normalize_fuse`` or ``ToyModel.condition``)
+    guarantees a known mode, float64 streams of one shape, and ``si``
+    present exactly for the modes in ``READS_IMAGE_MOMENTS``. A stream of
+    another shape would broadcast silently. Neither stream is written to.
     """
     # Each result is one fresh array updated in place, in the order of the
     # expression it stands for, so it is bitwise equal to that expression.

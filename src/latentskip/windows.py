@@ -97,15 +97,16 @@ def run_long(model, z_T_full: np.ndarray, cond_full, plan: WindowPlan,
     or step, where the later window's velocity is kept). The sequence then
     takes one Euler step, ``euler_step``. Frames run along the first axis
     of ``z_T_full`` and of a 2-D ``cond_full``, which is sliced once per
-    window; a 1-D (shared) cond, or None, is every window's cond. A model
-    with a ``condition(cond, frames)`` method (``ToyModel``) gets each
-    window's cond through it once, before the first step, and every
-    evaluation of that window gets the result; any other model gets the
-    cond itself. Returns (trajectory, evals_per_window). A complex input,
-    NaN or inf in either input, a latent with no frames, or a 2-D cond
-    without one row per frame is a ValueError naming ``z_T`` or ``cond``,
-    raised before any evaluation, as is any error ``condition`` raises; so
-    is a velocity whose shape is not its window's. A trajectory that turns
+    window; a 1-D (shared) cond is every window's cond. A model with a
+    ``condition(cond, frames)`` method (``ToyModel``) gets each window's
+    cond through it once, before the first step, and every evaluation of
+    that window gets the result; any other model gets the cond itself. A
+    None cond goes only to a model without ``condition``. Returns
+    (trajectory, evals_per_window). A complex input, NaN or inf in either
+    input, a latent with no frames, or a 2-D cond without one row per
+    frame is a ValueError naming ``z_T`` or ``cond``, raised before any
+    evaluation, as is any error ``condition`` raises; so is a velocity
+    whose shape is not its window's. A trajectory that turns
     NaN or inf (an evaluation, an extrapolation or an Euler step that
     overflows float64) is a ValueError naming its first non-finite latent,
     with no RuntimeWarning: the loop runs under one ``np.errstate`` and

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latentskip import flow_model
-from latentskip.core import SeededRng, stats
+from latentskip.core import SeededRng
 from latentskip.flow_model import (FUSION_MODES, Conditioning, LayerOutputs, MaskPair, SamplerConfig,
                                    ToyModel, build_model, forward_diffuse, masked_recon_loss, velocity_loss)
+from latentskip.norm_fusion import normalize_fuse
 from latentskip.predictor import DiffTable
 from latentskip.windows import euler_step, sample_full
 from test_norm_fusion import reference_fuse
@@ -36,19 +37,27 @@ class TestToyModel:
         assert len(out) == 4
 
     def test_fusion_hook_point(self, monkeypatch):
-        # perfbench/tracer.py times fusion by wrapping flow_model.fuse_streams, so it
-        # must stay a plain module-level function that eval looks up once per layer.
+        # perfbench/tracer.py times fusion by wrapping flow_model.fuse_streams, so it must stay a
+        # plain module-level function that eval looks up once per layer. Each call adds that layer's
+        # own fused conditioning into the layer's product and leaves the conditioning as it was.
         original = inspect.getattr_static(flow_model, "fuse_streams")
         assert inspect.isfunction(original)
         calls = []
 
-        def counting(*args):
-            calls.append(args[3])
-            return original(*args)
+        def counting(x, fused):
+            before = x.copy()
+            original(x, fused)
+            calls.append((fused, np.array_equal(x, before + fused)))
 
         monkeypatch.setattr(flow_model, "fuse_streams", counting)
-        small_model(layer_count=5, fusion_mode="ours").eval(np.ones((1, 12)), 0.5, np.ones(4))
-        assert calls == ["ours"] * 5
+        model = small_model(layer_count=5, fusion_mode="ours")
+        conditioning = model.condition(SeededRng(2).normal((3, 4)), 3)
+        kept = [fused.copy() for fused in conditioning.layers]
+        for t in (0.5, 0.2):
+            model.eval(SeededRng(1).normal((3, 12)), t, conditioning)
+        assert len(calls) == 2 * 5
+        assert all(fused is conditioning.layers[i % 5] and added for i, (fused, added) in enumerate(calls))
+        assert all(np.array_equal(fused, k) for fused, k in zip(conditioning.layers, kept, strict=True))
 
     def test_zero_weights_give_zero_outputs(self):
         m = small_model()
@@ -104,13 +113,23 @@ class TestToyModel:
         rng = SeededRng(4)
         z, cond = rng.normal((frames, 12)), rng.normal(4 if shared else (frames, 4))
         conditioning = m.condition(cond, frames)
-        # Both streams' moments are in the conditioning; an image half the fusion does not read is None.
-        for s_img, si, _ in conditioning.layers:
-            assert si == (stats(s_img) if fusion in ("ours", "centralization") else None)
+        kept = [fused.copy() for fused in conditioning.layers]
         for t in (1.0, 0.37, 0.0):  # one conditioning, many steps: eval never writes into it
             raw, conditioned = m.eval(z, t, cond), m.eval(z, t, conditioning)
             assert len(raw) == len(conditioned) == 4
             assert all(np.array_equal(a, b) for a, b in zip(raw.per_layer, conditioned.per_layer))
+        assert all(np.array_equal(fused, k) for fused, k in zip(conditioning.layers, kept, strict=True))
+
+    def test_fusion_overflow_saturates_without_a_warning(self):
+        # baseline-add takes no moments, so it accepts a finite cond of 1e308. A fused array that
+        # overflows float64 is inf, built in condition with no RuntimeWarning (pytest makes one an
+        # error), and every eval's tanh saturates it, with or without run_long's np.errstate.
+        model = build_model(0, fusion_mode="baseline-add")
+        z, cond = SeededRng(3).normal((4, 64)), np.full(8, 1e308)
+        conditioning = model.condition(cond, 4)
+        assert not np.isfinite(conditioning.layers[-1]).all()
+        for given_cond in (conditioning, cond):
+            assert all(np.isfinite(layer).all() for layer in model.eval(z, 0.5, given_cond).per_layer)
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_complex_cond_rejected(self, shared):
@@ -135,8 +154,8 @@ class TestToyModel:
 
     @pytest.mark.parametrize("differs", [{"fusion_mode": "baseline-add"}, {"layer_count": 5}, {}])
     def test_conditioning_of_another_model_rejected(self, differs):
-        # An "ours" model would read a "baseline-add" conditioning's absent image moments, and
-        # another model's projections would be fused silently: only the model that built it may use it.
+        # An "ours" model would add a "baseline-add" conditioning's fusion, and another model's
+        # projections would be added silently: only the model that built it may use it.
         m = build_model(0, fusion_mode="ours")
         other = build_model(0, **{"fusion_mode": "ours", **differs})
         conditioning = other.condition(np.ones(8), 2)
@@ -170,18 +189,17 @@ def _rebuilt(conditioning, layers=None, model=None):
                         conditioning.model if model is None else model)
 
 
-def _with_layer(conditioning, m, **changes):
-    """``conditioning``'s layers with some items of layer m's triple replaced."""
+def _with_layer(conditioning, m, fused):
+    """``conditioning``'s layers with layer m's fused conditioning replaced."""
     layers = list(conditioning.layers)
-    s_img, si, p = layers[m]
-    layers[m] = (changes.get("s_img", s_img), changes.get("si", si), changes.get("p", p))
+    layers[m] = fused
     return layers
 
 
 class TestConditioningChecks:
-    # eval runs the fusion kernel, which checks nothing: a (layer_width, 1) stream would broadcast
-    # silently over the frames, and absent moments would fail deep in the arithmetic. A Conditioning is checked
-    # once, when built, by hand as much as by ToyModel.condition.
+    # eval adds each layer's fused conditioning unchecked: a (layer_width, 1) array would broadcast
+    # silently over the frames. A Conditioning is checked once, when built, by hand as much as by
+    # ToyModel.condition.
     @pytest.mark.parametrize("fusion", FUSION_MODES)
     def test_built_by_condition_passes_and_rebuilds(self, fusion):
         conditioning = small_model(fusion_mode=fusion).condition(SeededRng(1).normal((3, 4)), 3)
@@ -193,12 +211,16 @@ class TestConditioningChecks:
                              ids=["one-row", "frame-short", "one-frame", "transposed", "1-d", "float32", "list"])
     @pytest.mark.parametrize("m", [0, 3])
     def test_wrong_stream_rejected(self, stream, bad, m):
-        conditioning = small_model(fusion_mode="ours").condition(SeededRng(1).normal((3, 4)), 3)
-        s_img, _, p = conditioning.layers[m]
-        name, good = ("image", s_img) if stream == "s_img" else ("portrait", p)
-        layers = _with_layer(conditioning, m, **{stream: bad(good)})
-        with pytest.raises(ValueError, match=re.escape(f"layer {m}'s {name} stream must be a float64 array")):
-            _rebuilt(conditioning, layers)
+        # The check is on layout and type alone: layer m's raw image or portrait stream, a float64
+        # (layer_width, frames) array, passes in place of its fused conditioning, and any cut of it fails.
+        model = small_model(fusion_mode="ours")
+        cond = SeededRng(1).normal((3, 4))
+        conditioning = model.condition(cond, 3)
+        good = model.weights[m]["P_img" if stream == "s_img" else "P_p"] @ cond.T
+        _rebuilt(conditioning, _with_layer(conditioning, m, good))
+        message = f"layer {m}'s fused conditioning must be a float64 array of shape {good.shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _rebuilt(conditioning, _with_layer(conditioning, m, bad(good)))
 
     @pytest.mark.parametrize("count", [3, 5, 0])
     def test_one_triple_per_layer(self, count):
@@ -207,27 +229,6 @@ class TestConditioningChecks:
         with pytest.raises(ValueError, match=f"conditioning has {count} layers, the model has 4"):
             _rebuilt(conditioning, layers)
 
-    def test_layer_must_be_a_triple(self):
-        conditioning = small_model().condition(np.zeros(4), 2)
-        layers = list(conditioning.layers)
-        layers[1] = layers[1][:2]
-        with pytest.raises(ValueError, match="layer 1 holds 2 items"):
-            _rebuilt(conditioning, layers)
-
-    @pytest.mark.parametrize("fusion", ["ours", "centralization"])
-    def test_missing_moments_rejected(self, fusion):
-        conditioning = small_model(fusion_mode=fusion).condition(np.ones(4), 2)
-        for si in (None, (0.0, 1.0)):
-            with pytest.raises(ValueError, match=f"layer 2: fusion mode '{fusion}' needs the image stream's moments"):
-                _rebuilt(conditioning, _with_layer(conditioning, 2, si=si))
-
-    @pytest.mark.parametrize("fusion", ["pure-norm", "baseline-add"])
-    def test_extra_moments_rejected(self, fusion):
-        # Moments no fusion reads: an "ours" model's conditioning handed to a model of this mode.
-        ours = small_model(fusion_mode="ours").condition(np.ones(4), 2)
-        with pytest.raises(ValueError, match=f"layer 0: fusion mode '{fusion}' reads no image moments"):
-            _rebuilt(ours, model=small_model(fusion_mode=fusion))
-
     def test_unknown_mode_rejected(self):
         model = small_model()
         odd = ToyModel(model.layer_count, model.width, model.latent_dim, model.cond_dim, "nope", model.weights)
@@ -235,7 +236,7 @@ class TestConditioningChecks:
             _rebuilt(model.condition(np.ones(4), 2), model=odd)
 
     def test_model_fields_cannot_change_under_a_conditioning(self):
-        # A conditioning checked for "baseline-add" holds no moments for an "ours" fusion to read.
+        # A conditioning fused for "baseline-add" would be added by an "ours" model silently.
         model = small_model()
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.fusion_mode = "ours"
@@ -318,6 +319,21 @@ def test_eval_bitwise_equals_reference(fusion, layers, width, latent_dim, frames
     assert all(np.array_equal(a, b) for a, b in zip(inputs, before))  # nothing the caller owns is written
 
 
+@settings(max_examples=80, deadline=None)
+@given(fusion=st.sampled_from(FUSION_MODES), layers=st.integers(2, 4), frames=st.integers(1, 17),
+       cond_dim=st.integers(0, 9), shared=st.booleans(), seed=st.integers(0, 2**32))
+def test_conditioning_is_the_public_fusion(fusion, layers, frames, cond_dim, shared, seed):
+    # condition runs the whole fusion once per window; each layer's result is the public
+    # normalize_fuse of its two projected streams, bit for bit.
+    model = build_model(seed, layers, 8, 5, cond_dim, fusion)
+    _, cond = _random_inputs(seed, frames, 5, cond_dim, shared)
+    conditioning = model.condition(cond, frames)
+    cond2d = np.broadcast_to(cond, (frames, cond_dim))
+    assert len(conditioning.layers) == layers
+    for w, fused in zip(model.weights, conditioning.layers, strict=True):
+        assert np.array_equal(fused, normalize_fuse(w["P_img"] @ cond2d.T, w["P_p"] @ cond2d.T, fusion))
+
+
 @pytest.mark.parametrize("shape", [{"layer_count": 2, "width": 2, "latent_dim": 3}, {},
                                    {"layer_count": 16, "width": 128}])
 def test_hidden_stack_is_the_hidden_layers_without_a_copy(shape):
@@ -369,11 +385,12 @@ def test_eval_returns_fresh_memory(shape):
     model = build_model(0, **shape)
     z, cond = _random_inputs(0, 3, model.latent_dim, model.cond_dim, False)
     conditioning = model.condition(cond, 3)
+    owned = [z, cond] + [a for w in model.weights for a in w.values()] + list(conditioning.layers)
+    kept = [a.copy() for a in owned]
     first, second = model.eval(z, 0.7, conditioning).per_layer, model.eval(z, 0.2, conditioning).per_layer
-    owned = [z, cond] + [a for w in model.weights for a in w.values()] + [
-        a for layer in conditioning.layers for a in (layer[0], layer[2])]
     for out in first:
         assert not any(np.shares_memory(out, other) for other in second + owned)
+    assert all(np.array_equal(a, k) for a, k in zip(owned, kept, strict=True))  # no eval writes its inputs
     for outs in (first, second):
         for i, out in enumerate(outs):
             assert not any(np.shares_memory(out, other) for other in outs[i + 1:])
@@ -405,10 +422,9 @@ def test_activations_are_contiguous_blocks(shape, fusion):
         assert h.shape == (3, model.width) and h.flags.f_contiguous and not h.flags.c_contiguous
         assert h.base is buffer
     assert final.shape == (3, model.latent_dim) and final.flags.c_contiguous and final.flags.owndata
-    # The streams are feature-major too: eval adds each to its layer's (width, frames) product.
-    for w, (s_img, _, p) in zip(model.weights, conditioning.layers):
-        for stream in (s_img, p):
-            assert stream.shape == (w["Abc"].shape[0], 3) and stream.flags.c_contiguous
+    # The fused conditioning is feature-major too: eval adds each layer's to its (width, frames) product.
+    for w, fused in zip(model.weights, conditioning.layers, strict=True):
+        assert fused.shape == (w["Abc"].shape[0], 3) and fused.flags.c_contiguous
 
 
 @settings(max_examples=60, deadline=None)

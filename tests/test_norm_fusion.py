@@ -167,8 +167,8 @@ def test_fuse_bitwise_equals_reference(streams, mode):
     before = [z_img.copy(), z_p.copy()]
     reference = reference_fuse(z_img, z_p, mode)
     assert np.array_equal(normalize_fuse(z_img, z_p, mode), reference)
-    # The model takes both streams' moments once, and its step loop runs the kernel alone
-    # on streams its Conditioning checked once.
+    # The model runs the two halves and the kernel once per window, in ToyModel.condition,
+    # on streams it checked there, and its step loop only adds the result.
     si, p = image_moments(z_img, mode), normalize_portrait(z_p, mode)
     p_before = p.copy()
     assert np.array_equal(fuse_kernel(z_img, si, p, mode), reference)

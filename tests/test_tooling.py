@@ -33,22 +33,25 @@ def test_moments_come_from_core():
     assert not hits, "compute moments with core.mean / core.stats:\n" + "\n".join(hits)
 
 
-# The unchecked kernels may run only where their inputs are checked, once: the fusion kernel in
-# ToyModel.eval (bound as fuse_streams, on a checked Conditioning's streams) and in normalize_fuse;
-# the Euler step in run_long's loop alone (a velocity of the latent's shape, dt from timesteps()).
+# The unchecked kernels may run only where their inputs are checked, once: the fusion's alignment
+# kernel in ToyModel.condition and normalize_fuse, which check its streams and moments; the step's
+# add of a fused conditioning in ToyModel.eval, on a checked Conditioning's arrays; the Euler step in
+# run_long's loop alone (a velocity of the latent's shape, dt from timesteps()).
 KERNEL_SITES = {
-    "fuse_kernel": {("flow_model.py", "import as fuse_streams"), ("norm_fusion.py", "normalize_fuse")},
+    "fuse_kernel": {("flow_model.py", "import as fuse_kernel"), ("flow_model.py", "ToyModel.condition"),
+                    ("norm_fusion.py", "normalize_fuse")},
+    "fuse_streams": {("flow_model.py", "ToyModel.eval")},
     "euler_step": {("windows.py", "run_long")},
 }
 
 
 def _kernel_references(tree):
-    """(kernel, site, line) per reference; the site is the enclosing def, or the import's binding."""
+    """(kernel, site, line) per reference; the site is the enclosing def (class-qualified), or the import."""
     found = []
 
     def visit(node, site):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            site = node.name
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            site = node.name if site == "module level" else f"{site}.{node.name}"
         if isinstance(node, ast.ImportFrom):
             found.extend((alias.name, f"import as {alias.asname or alias.name}", node.lineno)
                          for alias in node.names if alias.name in KERNEL_SITES)
@@ -72,8 +75,8 @@ def test_kernels_run_only_at_their_checked_sites():
             seen.add((kernel, path.name, site))
             if (path.name, site) not in KERNEL_SITES[kernel]:
                 hits.append(f"{path.name}:{lineno}: {kernel} in {site}")
-    assert not hits, ("an unchecked kernel outside its sites (call normalize_fuse; only run_long's loop "
-                      "takes an euler_step):\n" + "\n".join(hits))
+    assert not hits, ("an unchecked kernel outside its sites (call normalize_fuse; only ToyModel.eval adds "
+                      "a fused conditioning; only run_long's loop takes an euler_step):\n" + "\n".join(hits))
     missing = {(kernel, *where) for kernel, sites in KERNEL_SITES.items() for where in sites} - seen
     assert not missing, f"KERNEL_SITES lists sites the package no longer has: {sorted(missing)}"
 

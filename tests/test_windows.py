@@ -351,6 +351,20 @@ def test_shared_cond_of_the_wrong_length_rejected_before_any_eval(sampler, lengt
     assert model.evals == 0 and len(model.conditioned) == 1
 
 
+@pytest.mark.parametrize("pcfg", [None, PredictorConfig(2, 2)], ids=["oracle", "accelerated"])
+def test_none_cond_goes_only_to_a_model_without_condition(pcfg):
+    # np.asarray(None, dtype=float64) is a 0-d NaN, which ToyModel misreported as a cond of shape ().
+    model = ConditioningCountingModel(build_model(0, cond_dim=0))
+    z, plan, cfg = np.zeros((3, 64)), WindowPlan(3, 3, 0), SamplerConfig(2)
+    message = "cond is None: a ToyModel takes a shared (0,) or a per-frame (3, 0) cond"
+    for call in (lambda: run_long(model, z, None, plan, cfg, pcfg), lambda: model.eval(z, 0.5, None)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+    assert model.conditioned == [3] and model.evals == 1  # refused in condition, before any step
+    trajectory, _ = run_long(ConstantVelocityModel(1.0), z, None, plan, cfg, pcfg)
+    assert np.array_equal(trajectory[-1], np.full((3, 64), -1.0))
+
+
 @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
 @pytest.mark.parametrize("frames,rows,window,overlap", [(21, 9, 9, 5), (5, 1, 3, 2)])
 def test_cond_without_a_row_per_frame_rejected(sampler, frames, rows, window, overlap):
