@@ -189,8 +189,8 @@ class ToyModel:
         elif cond.frames != len(z):
             raise ValueError(f"conditioning built for {cond.frames} frames, latent has {len(z)}")
         # Feature-major: Abc @ [h; 1; t] is A h + b + t c, shape (out, frames). Each hidden
-        # output is written into the next block of one buffer, whose (1, t) rows are already
-        # set, and returned as that block's transpose; the last layer is copied out C-contiguous.
+        # product is written straight into the next block of one buffer, whose (1, t) rows are
+        # already set, and the block's transpose is returned; the last layer is copied out C-contiguous.
         # The buffer is new at every call, because the predictor keeps an anchor's outputs, and
         # the hidden layers go to the predictor as one (layers - 1, frames, width) view of it.
         frames = len(z)
@@ -200,15 +200,13 @@ class ToyModel:
         hidden = np.empty((self.layer_count - 1, self.width + 2, frames))
         hidden[:, -2], hidden[:, -1] = 1.0, t
         stack = hidden[:, :-2]  # every block's output rows
-        hin, outs = first, []
+        hin, outs, last = first, [], self.layer_count - 1
         for m, (w, fused) in enumerate(zip(self.weights, cond.layers, strict=True)):
-            x = w["Abc"] @ hin
+            x = np.matmul(w["Abc"], hin, None if m == last else stack[m])  # out positional: cheaper than out=
             fuse_streams(x, fused)
-            if m == self.layer_count - 1:
-                outs.append(np.tanh(x, out=x).T.copy())
-            else:
-                hin = hidden[m]
-                outs.append(np.tanh(x, out=stack[m]).T)
+            np.tanh(x, out=x)
+            outs.append(x.T.copy() if m == last else x.T)
+            hin = hidden[m] if m < last else None
         return LayerOutputs(outs, z.shape, stack.transpose(0, 2, 1))
 
     def condition(self, cond, frames: int) -> Conditioning:

@@ -90,7 +90,7 @@ class AnchorCache:
         if self.newest_step is not None and step - self.newest_step != self.spacing:
             raise ValueError("anchor spacing violated")
         hidden, final = outputs.hidden_stack(), np.asarray(outputs.per_layer[-1], dtype=np.float64)
-        if self.final and (hidden.shape, final.shape) != (self.hidden[0].shape, self.final[0].shape):
+        if self.final and (hidden.shape != self.hidden[0].shape or final.shape != self.final[0].shape):
             self._refuse_layers(hidden, final)
         orders = min(len(self), self.capacity - 1)
         new_hidden, new_final = [hidden], [final]
@@ -100,8 +100,9 @@ class AnchorCache:
         if hist is not None and self.final:
             # The final layer's order-1 row is old - new, the exact negation of new - old, so its
             # norm is bitwise the same; without that row (capacity 1) the difference is taken here.
-            change = new_final[1] if orders else final - self.final[0]
-            hist.record(float(np.linalg.norm(change)) / self.spacing)
+            # The norm is np.linalg.norm's float64 path, sqrt of the raveled row's dot, sans wrapper.
+            change = (new_final[1] if orders else final - self.final[0]).ravel(order="K")
+            hist.record(math.sqrt(change.dot(change)) / self.spacing)
         self.hidden, self.final = new_hidden, new_final
         self.shape, self.newest_step = outputs.shape, step
 
@@ -184,16 +185,19 @@ def layer_weight(table: DiffTable, layer: int, order: int) -> float:
     computes every layer's weight and later queries read the stored one.
     That query takes every hidden layer's magnitude from one reduction over
     the order's hidden stack (``core.layer_means``), bitwise each layer's
-    own ``core.mean``, and the weights in one array expression.
+    own ``core.mean``, and forms the weights on Python floats: the same IEEE
+    operations as NumPy's, without a call per operation on a few elements.
     """
     if order > table.max_order:
         raise ValueError(f"order {order} not present in difference table")
     weights = table.weights.get(order)
     if weights is None:
-        hidden = layer_means(np.abs(table.hidden[order]))
-        mags = np.concatenate((hidden, [mean(np.abs(table.final[order]))]))
+        mags = layer_means(np.abs(table.hidden[order])).tolist()
+        mags.append(mean(np.abs(table.final[order])))
         avg = max(mean(mags), EPS)
-        weights = table.weights[order] = (1.0 / np.sqrt(np.maximum(mags / avg, EPS))).tolist()
+        weights = table.weights[order] = []
+        for m in mags:  # not a comprehension: one would make avg a cell, built at every query
+            weights.append(1.0 / math.sqrt(max(m / avg, EPS)))
     return weights[layer]
 
 
@@ -217,13 +221,14 @@ class PredictedLayers(Sequence):
 
     Layer l is ``extrapolate_layer(diffs[l], terms[l])``. The terms are fixed
     by ``predict``, so a layer first read after the next anchor still uses the
-    correctors of the step it was predicted at.
+    correctors of the step it was predicted at. The final layer, the one
+    ``run_long`` reads right away, is built here, from the table's own rows.
     """
 
     def __init__(self, table: DiffTable, terms: list):
         self._table = table
         self._terms = terms
-        self._layers = [None] * len(terms)
+        self._layers = [None] * (len(terms) - 1) + [extrapolate_layer(table.final, terms[-1])]
 
     def __len__(self) -> int:
         return len(self._layers)
@@ -267,9 +272,7 @@ def predict(cache: AnchorCache, table: DiffTable, hist: SigmaHistory,
     terms = [[(num, den * (layer_weight(table, l, i) if use_dynamics else 1.0) * s)
               for i, (num, den) in enumerate(orders, start=1)]
              for l in range(table.layer_count)]
-    layers = PredictedLayers(table, terms)
-    layers[-1]  # built now: run_long reads only the final layer, right after this returns
-    return LayerOutputs(layers, cache.shape)
+    return LayerOutputs(PredictedLayers(table, terms), cache.shape)
 
 
 def is_anchor_step(step_index: int, cfg: PredictorConfig) -> bool:

@@ -71,10 +71,14 @@ def blend_weights(overlap: int) -> np.ndarray:
 
 
 def blend_overlap(prev_tail: np.ndarray, cur_head: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Convex per-frame mix: w*current + (1-w)*previous."""
+    """Convex per-frame mix: w*current + (1-w)*previous.
+
+    ``weights`` is the 1-D ramp, or the ramp already shaped to broadcast over
+    the frames' axes, as ``run_long`` shapes it once per run.
+    """
     if prev_tail.shape != cur_head.shape or prev_tail.shape[0] != len(weights):
         raise ValueError("overlap length mismatch")
-    w = weights.reshape((len(weights),) + (1,) * (cur_head.ndim - 1))
+    w = weights if weights.ndim == cur_head.ndim else weights.reshape((-1,) + (1,) * (cur_head.ndim - 1))
     out = w * cur_head
     out += (1.0 - w) * prev_tail
     return out
@@ -127,7 +131,8 @@ def run_long(model, z_T_full: np.ndarray, cond_full, plan: WindowPlan,
 
     ts = sampler_cfg.timesteps()
     v = plan.overlap
-    weights = blend_weights(v) if len(plan.spans) > 1 else None
+    # Shaped once to broadcast over the frames' axes, so blend_overlap need not reshape it per call.
+    weights = blend_weights(v).reshape((v,) + (1,) * (z.ndim - 1)) if len(plan.spans) > 1 else None
     trajectory = [z]
     # A NaN or inf from an evaluation, an extrapolation or an Euler step that overflows is the
     # ValueError below, not a RuntimeWarning on the way.

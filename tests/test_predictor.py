@@ -60,14 +60,21 @@ class AbsCounting(np.ndarray):
 
 
 class UfuncCounting(np.ndarray):
-    """An array whose ufunc results are UfuncCounting arrays too; ``calls`` counts the ufunc calls on them."""
+    """An array whose ufunc results are UfuncCounting arrays too; ``calls`` counts the ufunc calls on them.
+
+    A call with ``out`` writes into the given arrays and returns them, as NumPy's own does.
+    """
 
     calls = 0
 
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
         UfuncCounting.calls += 1
         plain = [x.view(np.ndarray) if isinstance(x, UfuncCounting) else x for x in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(x.view(np.ndarray) if isinstance(x, UfuncCounting) else x for x in out)
         result = getattr(ufunc, method)(*plain, **kwargs)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
         return result.view(UfuncCounting) if isinstance(result, np.ndarray) else result
 
 
@@ -143,12 +150,34 @@ class TestAnchorCache:
         # the differences of 400, 225, 100, 25: the evicted anchor at step 0 would add order 4
         assert [float(d[0]) for d in finite_differences(cache).per_layer[0]] == [400.0, -175.0, 50.0, 0.0]
 
-    def test_sigma_from_final_outputs(self):
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_sigma_from_final_outputs(self, data):
         cache = AnchorCache(5, 4)
         hist = SigmaHistory()
         cache.push(0, scalar_outputs(0.0), hist)
         cache.push(5, scalar_outputs(10.0), hist)
         assert hist.sigmas == [2.0]
+        # Any final layer, C- or F-ordered or a strided view, at every capacity (1 keeps no order-1
+        # row): sigma is bitwise np.linalg.norm(old - new) / K, also where the squares overflow to inf.
+        rows, cols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        scale = data.draw(st.sampled_from([1.0, 1e150, 1e300]))  # squares overflow from about 1.3e154
+        layout = data.draw(st.sampled_from(["C", "F", "strided"]))
+        rng = SeededRng(data.draw(st.integers(0, 2**32)))  # generic values: summation order shows
+
+        def final_row():
+            a = rng.normal((2 * rows, 3 * cols)) * scale
+            if layout == "strided":
+                return a[::2, ::3]
+            return (np.ascontiguousarray if layout == "C" else np.asfortranarray)(a[:rows, :cols])
+
+        old, new = final_row(), final_row()
+        spacing = data.draw(st.integers(1, 7))
+        cache, hist = AnchorCache(spacing, data.draw(st.sampled_from([1, 2, 4]))), SigmaHistory()
+        with np.errstate(over="ignore"):  # dot warns on the overflow, inside np.linalg.norm too
+            cache.push(0, LayerOutputs([old], old.shape), hist)
+            cache.push(spacing, LayerOutputs([new], new.shape), hist)
+            assert hist.sigmas[-1].hex() == (float(np.linalg.norm(old - new)) / spacing).hex()
 
     def test_spacing_violation(self):
         cache = AnchorCache(5, 4)
@@ -341,15 +370,25 @@ class TestDynamics:
         # stack. The first weight query at each of the 4 orders takes one np.abs of it: 13 in all,
         # whatever the layer count, since neither push nor the weights loop over the layers.
         rng = SeededRng(4)
-        cache = AnchorCache(5, 4)
+        cache, hist = AnchorCache(5, 4), SigmaHistory()
         UfuncCounting.calls = 0
         for p in range(5):
             hidden = rng.normal((layers - 1, 3, 6)).view(UfuncCounting)
-            cache.push(5 * p, LayerOutputs([*hidden, rng.normal((3, 2))], (3, 2), hidden))
+            cache.push(5 * p, LayerOutputs([*hidden, rng.normal((3, 2))], (3, 2), hidden), hist)
         table = finite_differences(cache)
         for i in range(table.max_order + 1):
             layer_weight(table, 0, i)
         assert UfuncCounting.calls == 13
+        # A warmed predicted step on this table (its weights stored above) builds the final layer
+        # only: a copy of its order-0 row, which is no ufunc call, then a multiply, a divide and an
+        # add per order, 3 x 3 = 9 with the final rows counted too. It runs nothing over the hidden
+        # stack until a hidden layer is read; that read costs the same 9, over views of the stack.
+        table.final = [f.view(UfuncCounting) for f in table.final]
+        UfuncCounting.calls = 0
+        out = predict(cache, table, hist, 2, PredictorConfig(anchor_spacing=5, max_order=3))
+        assert UfuncCounting.calls == 9
+        out.per_layer[0]
+        assert UfuncCounting.calls == 18
 
 
 class TestPredict:
