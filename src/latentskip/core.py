@@ -150,13 +150,15 @@ def relative_l2(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # a norm that is not finite is handled below
-        num, den, eps = float(np.linalg.norm(a - b)), float(np.linalg.norm(b)), EPS
+        d, r = (a - b).ravel(order="K"), b.ravel(order="K")  # np.linalg.norm's float64 path, sqrt(dot), unwrapped
+        num, den, eps = math.sqrt(d.dot(d)), math.sqrt(r.dot(r)), EPS
     if not (math.isfinite(num) and math.isfinite(den)):
         require_finite(a=a, b=b)
         # Scale by 2**-e, exact for every value that stays normal, so the largest magnitude is below 1.
         e = math.frexp(max(np.max(np.abs(a)), np.max(np.abs(b))))[1]
         a, b = np.ldexp(a, -e), np.ldexp(b, -e)
-        num, den, eps = float(np.linalg.norm(a - b)), float(np.linalg.norm(b)), math.ldexp(EPS, -e)
+        d, r = (a - b).ravel(order="K"), b.ravel(order="K")
+        num, den, eps = math.sqrt(d.dot(d)), math.sqrt(r.dot(r)), math.ldexp(EPS, -e)
     ratio = num / max(den, eps)
     if not math.isfinite(ratio):
         raise ValueError("relative_l2 overflows float64 on these inputs")

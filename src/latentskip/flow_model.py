@@ -202,7 +202,7 @@ class ToyModel:
         stack = hidden[:, :-2]  # every block's output rows
         hin, outs, last = first, [], self.layer_count - 1
         for m, (w, fused) in enumerate(zip(self.weights, cond.layers, strict=True)):
-            x = np.matmul(w["Abc"], hin, None if m == last else stack[m])  # out positional: cheaper than out=
+            x = w["Abc"].dot(hin, None if m == last else stack[m])  # matmul's BLAS call, no gufunc dispatch
             fuse_streams(x, fused)
             np.tanh(x, out=x)
             outs.append(x.T.copy() if m == last else x.T)

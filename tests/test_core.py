@@ -111,10 +111,26 @@ def test_relative_l2_self_is_zero(values):
     assert relative_l2(a, a) == 0.0
 
 
-@given(st.data(), hnp.array_shapes(max_dims=2, max_side=8))
-def test_relative_l2_bitwise_where_the_norms_fit(data, shape):
-    # Where both norms fit float64 (64 squares of at most 4e300) the value is the plain formula's, bit for bit.
-    a, b = (data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e150, 1e150))) for _ in range(2))
+def _laid_out(x, layout):
+    """``x``'s values in a given memory layout: a C or F copy, a transposed view, or every other row of a buffer."""
+    if layout == "C":
+        return x.copy()
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "T":
+        return np.ascontiguousarray(x.T).T
+    buf = np.full((2 * len(x), *x.shape[1:]), np.nan)  # the rows the view skips are NaN
+    buf[::2] = x
+    return buf[::2]
+
+
+@given(st.data(), hnp.array_shapes(max_dims=3, max_side=8),
+       st.sampled_from(["C", "F", "T", "step2"]), st.sampled_from(["C", "F", "T", "step2"]))
+def test_relative_l2_bitwise_where_the_norms_fit(data, shape, layout_a, layout_b):
+    # Where both norms fit float64 (512 squares of at most 4e300) the value is the plain formula's, bit for
+    # bit, in every layout: both sum in the arrays' memory order, so a layout that changes the order shows.
+    a, b = (_laid_out(data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e150, 1e150))), layout)
+            for layout in (layout_a, layout_b))
     assert relative_l2(a, b) == float(np.linalg.norm(a - b)) / max(float(np.linalg.norm(b)), EPS)
 
 

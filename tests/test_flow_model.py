@@ -270,7 +270,8 @@ def reference_eval(model, z, t, cond):
     """ToyModel.eval written as one expression per layer: the values eval must reproduce bitwise.
 
     Activations run feature-major: the layer's pre-activation is one product of [A | b | c] with
-    the augmented input [h^T; 1; t], each stream one product P @ cond^T.
+    the augmented input [h^T; 1; t], each stream one product P @ cond^T. The augmented input is
+    C-contiguous, as eval's blocks are: BLAS rounds an F-ordered operand differently at some shapes.
     """
     h, cond2d = _layer_inputs(model, z, cond)
     frames = len(h)
@@ -278,7 +279,7 @@ def reference_eval(model, z, t, cond):
     outs = []
     for w in model.weights:
         fused = reference_fuse(w["P_img"] @ cond2d.T, w["P_p"] @ cond2d.T, model.fusion_mode)
-        augmented = np.concatenate([h, np.ones((1, frames)), np.full((1, frames), t)])
+        augmented = np.ascontiguousarray(np.concatenate([h, np.ones((1, frames)), np.full((1, frames), t)]))
         h = np.tanh(w["Abc"] @ augmented + fused)
         outs.append(h.T)
     return outs
@@ -317,6 +318,20 @@ def test_eval_bitwise_equals_reference(fusion, layers, width, latent_dim, frames
     for g, c, r in zip(got, conditioned, ref):
         assert np.array_equal(g, r) and np.array_equal(c, r)
     assert all(np.array_equal(a, b) for a, b in zip(inputs, before))  # nothing the caller owns is written
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["per-frame", "shared"])
+@pytest.mark.parametrize("frames", [1, 16, 64])
+@pytest.mark.parametrize("layers, width", [(16, 128), (4, 32)], ids=["M16-w128", "M4-w32"])
+def test_eval_bitwise_equals_reference_at_benchmark_shapes(layers, width, frames, shared):
+    # The hypothesis test above draws narrow layers and few frames; at these widths BLAS picks other
+    # kernels, and with more than one thread it splits the product, so they are checked against @ here.
+    model = build_model(0, layers, width, 64, 8, "ours")
+    z, cond = _random_inputs(frames, frames, 64, 8, shared)
+    got = model.eval(z, 0.37, cond).per_layer
+    ref = reference_eval(model, z, 0.37, cond)
+    assert len(got) == len(ref) == layers
+    assert all(np.array_equal(g, r) for g, r in zip(got, ref))
 
 
 @settings(max_examples=80, deadline=None)
