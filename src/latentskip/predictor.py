@@ -3,13 +3,13 @@
 Full model evaluations happen only at anchor steps spaced ``anchor_spacing``
 apart; between anchors, per-layer outputs are extrapolated with a truncated
 Taylor series whose derivatives are approximated by the finite differences
-at the newest anchor. The cache keeps that table, which each anchor updates
-by Newton's rule, and the latent shape, not the anchors' outputs; the hidden
-layers' rows are one stacked array per order. Two scalar correctors adapt
+at the newest anchor. The cache holds that table, the one
+``finite_differences`` returns, which each anchor replaces by Newton's rule,
+and the latent shape, not the anchors' outputs. Two scalar correctors adapt
 the series: ``scale_s`` tracks how fast the latents currently change versus
-average, ``layer_weight`` tracks each layer's derivative magnitude versus
-the cross-layer average. ``PredictorState``, one per window of
-``run_long``, is the interface; the rest is its internals.
+the mean ``SigmaHistory`` takes at each anchor, ``layer_weight`` each layer's
+derivative magnitude versus the cross-layer average. ``PredictorState``, one
+per window of ``run_long``, is the interface; the rest is its internals.
 """
 
 from __future__ import annotations
@@ -40,46 +40,38 @@ class PredictorConfig:
 
 
 class SigmaHistory:
-    """Per-anchor latent variation rates and their running mean."""
+    """Per-anchor latent variation rates; ``average``, their mean, is taken once per ``record``."""
 
     def __init__(self):
         self.sigmas: list[float] = []
+        self.average = 0.0
 
     def record(self, sigma: float):
         self.sigmas.append(float(sigma))
-
-    @property
-    def newest(self) -> float:
-        return self.sigmas[-1]
-
-    @property
-    def average(self) -> float:
-        return mean(self.sigmas) if self.sigmas else 0.0
+        self.average = mean(self.sigmas)
 
 
 class AnchorCache:
-    """Newton forward-difference table of the newest ``capacity`` anchor evaluations.
+    """The newest ``capacity`` anchor evaluations, held as their Newton difference table.
 
-    ``hidden[i]`` is the i-th difference of every hidden layer at once, one
-    array stacked like the anchors' ``LayerOutputs.hidden`` (layer first),
-    and ``final[i]`` the final layer's, with the newest anchor as base and
-    orders capped at ``capacity - 1``; ``shape`` is the newest anchor's
-    latent shape. A push builds fresh row lists, so a table taken earlier is
-    never changed. Each anchor step must be exactly ``spacing`` past the
-    previous one, as ``PredictorState.step`` pushes them, and its layers
-    must have the cached anchors' count and shapes.
+    ``table`` is the ``DiffTable`` at the newest anchor, orders capped at
+    ``capacity - 1``, and ``None`` before the first push; it is what
+    ``finite_differences`` returns. ``shape`` is the newest anchor's latent
+    shape. A push builds a new table, so a table taken earlier is never
+    changed. Each anchor step must be exactly ``spacing`` past the previous
+    one, as ``PredictorState.step`` pushes them, and its layers must have
+    the cached anchors' count and shapes.
     """
 
     def __init__(self, spacing: int, capacity: int):
         self.spacing = spacing
         self.capacity = capacity
-        self.hidden: list[np.ndarray] = []
-        self.final: list[np.ndarray] = []
+        self.table: DiffTable | None = None
         self.shape: tuple | None = None
         self.newest_step: int | None = None
 
     def __len__(self) -> int:
-        return len(self.final)
+        return 0 if self.table is None else self.table.max_order + 1
 
     def push(self, step: int, outputs: LayerOutputs, hist: SigmaHistory | None = None):
         """Make ``outputs`` the newest anchor: row i becomes old row i-1 - new row i-1.
@@ -90,20 +82,21 @@ class AnchorCache:
         if self.newest_step is not None and step - self.newest_step != self.spacing:
             raise ValueError("anchor spacing violated")
         hidden, final = outputs.hidden_stack(), np.asarray(outputs.per_layer[-1], dtype=np.float64)
-        if self.final and (hidden.shape != self.hidden[0].shape or final.shape != self.final[0].shape):
+        old = self.table
+        if old is not None and (hidden.shape != old.hidden[0].shape or final.shape != old.final[0].shape):
             self._refuse_layers(hidden, final)
         orders = min(len(self), self.capacity - 1)
         new_hidden, new_final = [hidden], [final]
         for i in range(1, orders + 1):
-            new_hidden.append(self.hidden[i - 1] - new_hidden[i - 1])
-            new_final.append(self.final[i - 1] - new_final[i - 1])
-        if hist is not None and self.final:
+            new_hidden.append(old.hidden[i - 1] - new_hidden[i - 1])
+            new_final.append(old.final[i - 1] - new_final[i - 1])
+        if hist is not None and old is not None:
             # The final layer's order-1 row is old - new, the exact negation of new - old, so its
             # norm is bitwise the same; without that row (capacity 1) the difference is taken here.
             # The norm is np.linalg.norm's float64 path, sqrt of the raveled row's dot, sans wrapper.
-            change = (new_final[1] if orders else final - self.final[0]).ravel(order="K")
+            change = (new_final[1] if orders else final - old.final[0]).ravel(order="K")
             hist.record(math.sqrt(change.dot(change)) / self.spacing)
-        self.hidden, self.final = new_hidden, new_final
+        self.table = DiffTable(new_hidden, new_final)
         self.shape, self.newest_step = outputs.shape, step
 
     def _refuse_layers(self, hidden: np.ndarray, final: np.ndarray):
@@ -113,18 +106,18 @@ class AnchorCache:
         layer would broadcast against the table, or a missing one shift the
         final layer into the hidden stack.
         """
-        cached = self.hidden[0]
+        cached = self.table.hidden[0]
         if len(hidden) != len(cached):
             raise ValueError(f"anchor has {len(hidden) + 1} layers, the cached anchors have {len(cached) + 1}")
         for l, got, want in ((0, hidden.shape[1:], cached.shape[1:]),
-                             (len(hidden), final.shape, self.final[0].shape)):
+                             (len(hidden), final.shape, self.table.final[0].shape)):
             if got != want:
                 raise ValueError(f"anchor's layer {l} has shape {got}, the cached anchors' has {want}")
 
 
 @dataclass(eq=False)
 class DiffTable:
-    """Finite differences at the newest anchor, orders 0..max_order.
+    """Finite differences at the newest anchor, orders 0..max_order; ``AnchorCache.push`` builds it.
 
     ``hidden[i]`` stacks every hidden layer's i-th difference (layer first),
     and ``final[i]`` is the final layer's. ``layer(l)`` and ``per_layer``
@@ -137,9 +130,6 @@ class DiffTable:
     layer_count: int = field(init=False)
     # order -> every layer's layer_weight, filled on the order's first query
     weights: dict = field(default_factory=dict, init=False, repr=False)
-    # (alpha, sigma count) -> scale_s, filled by predict's first query: a history only grows, by one
-    # sigma per anchor push, and every anchor builds a new table, so s is taken once per anchor
-    scales: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.max_order = len(self.final) - 1
@@ -156,10 +146,10 @@ class DiffTable:
 
 
 def finite_differences(cache: AnchorCache) -> DiffTable:
-    """The cache's difference table, newest anchor as base."""
-    if not len(cache):
+    """The difference table the cache holds, newest anchor as base: the same object until the next push."""
+    if cache.table is None:
         raise ValueError("empty anchor cache")
-    return DiffTable(cache.hidden, cache.final)
+    return cache.table
 
 
 def scale_s(hist: SigmaHistory, alpha: float) -> float:
@@ -168,11 +158,12 @@ def scale_s(hist: SigmaHistory, alpha: float) -> float:
     Returns the neutral 1.0 before any sigma is recorded, and when the newest
     or the average sigma is below EPS: a field that does not change between
     anchors gives no rate to compare, and a ratio of 0 (or 0/0) would make
-    ``predict`` divide by zero.
+    ``predict`` divide by zero. The history took the average at its last
+    ``record``, so this is a few float operations.
     """
     if not hist.sigmas:
         return 1.0
-    newest, average = hist.newest, hist.average
+    newest, average = hist.sigmas[-1], hist.average
     if newest < EPS or average < EPS:
         return 1.0
     return (newest / average) ** alpha
@@ -249,11 +240,10 @@ def predict(cache: AnchorCache, table: DiffTable, hist: SigmaHistory,
     stay neutral while the cache is still warming up. Every layer's scalar
     terms are computed here; the final layer, the one the sampler reads, is
     built here too, and the others on their first read (``PredictedLayers``).
-    The variation-rate corrector s changes only at an anchor, so it is taken
-    once per difference table (stored in ``table.scales``), and each order's
-    i! * K^i once per call; ``layer_weight`` is still looked up once per
-    (layer, order). A hidden layer is read from the table's stacks as views,
-    when it is first read.
+    The variation-rate corrector s is formed per call from the mean the
+    history took at its last anchor, each order's i! * K^i once per call,
+    and ``layer_weight`` is looked up once per (layer, order). A hidden layer
+    is read from the table's stacks as views, when it is first read.
     """
     if not 1 <= k <= cfg.anchor_spacing - 1:
         raise ValueError(f"k must lie in [1, {cfg.anchor_spacing - 1}]")
@@ -262,12 +252,7 @@ def predict(cache: AnchorCache, table: DiffTable, hist: SigmaHistory,
     m = min(cfg.max_order, len(cache) - 1)
     warmed = len(cache) >= cfg.max_order + 1 and bool(hist.sigmas)
     use_dynamics = cfg.dynamics_enabled and warmed
-    s = 1.0
-    if use_dynamics:
-        key = (cfg.alpha, len(hist.sigmas))
-        s = table.scales.get(key)
-        if s is None:
-            s = table.scales[key] = scale_s(hist, cfg.alpha)
+    s = scale_s(hist, cfg.alpha) if use_dynamics else 1.0
     orders = [((-k) ** i, math.factorial(i) * cfg.anchor_spacing ** i) for i in range(1, m + 1)]
     terms = [[(num, den * (layer_weight(table, l, i) if use_dynamics else 1.0) * s)
               for i, (num, den) in enumerate(orders, start=1)]
@@ -292,19 +277,18 @@ class PredictorState:
         self.cfg = cfg
         self.cache = AnchorCache(cfg.anchor_spacing, cfg.max_order + 1)
         self.hist = SigmaHistory()
-        self.table: DiffTable | None = None
         self.evals = 0
 
     def step(self, model, z: np.ndarray, t: float, cond, step_index: int) -> LayerOutputs:
         if is_anchor_step(step_index, self.cfg):
             out = model.eval(z, t, cond)
             self.evals += 1
-            # With dynamics off nothing reads a hidden layer, so the table keeps the final layer's only.
-            kept = out if self.cfg.dynamics_enabled else LayerOutputs(out.per_layer[-1:], out.shape)
-            self.cache.push(step_index, kept, self.hist)
-            self.table = finite_differences(self.cache)
+            if self.cfg.dynamics_enabled:
+                self.cache.push(step_index, out, self.hist)
+            else:  # nothing reads a hidden layer or sigma: the table keeps the final layer's only
+                self.cache.push(step_index, LayerOutputs(out.per_layer[-1:], out.shape))
             return out
-        if self.table is None:
+        if not len(self.cache):
             raise ValueError(f"step {step_index} is a predicted step, but no anchor has been evaluated yet")
         k = step_index - self.cache.newest_step
-        return predict(self.cache, self.table, self.hist, k, self.cfg)
+        return predict(self.cache, finite_differences(self.cache), self.hist, k, self.cfg)

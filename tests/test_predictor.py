@@ -479,17 +479,19 @@ class TestPredict:
             assert calls == [(l, i) for l in range(layers) for i in range(1, max_order + 1)]
 
     def test_scale_s_taken_once_per_anchor(self, monkeypatch):
-        # The sigma history changes only when an anchor is pushed, so each difference table takes s
-        # once. K=5, n=1: warmed from the second anchor (step 5), whose table and the next two's
-        # each lead 4 predicted steps; the history then holds 1, 2 and 3 sigmas.
-        original, seen = pred_mod.scale_s, []
-
-        def counting(hist, alpha):
-            seen.append(len(hist.sigmas))
-            return original(hist, alpha)
-
-        monkeypatch.setattr(pred_mod, "scale_s", counting)
+        # The sigma history changes only when an anchor is pushed, so it takes the sigmas' mean once
+        # per anchor, and no predicted step takes it. K=5, n=1: the second, third and fourth anchors
+        # each record a sigma, when the history holds 1, 2 and 3. layer_weight takes means too, of
+        # other values, so only the means of the history's own list are counted.
         state = PredictorState(PredictorConfig(5, 1))
+        original, seen = pred_mod.mean, []
+
+        def counting(x):
+            if x is state.hist.sigmas:
+                seen.append(len(x))
+            return original(x)
+
+        monkeypatch.setattr(pred_mod, "mean", counting)
         model = ListModel([scalar_outputs(v) for v in (1.0, 2.0, 4.0, 7.0)])
         for j in range(20):
             state.step(model, None, 0.0, None, j)
@@ -542,7 +544,7 @@ class TestPredict:
         k = data.draw(st.integers(1, spacing - 1))
         for j in range((anchors - 1) * spacing + k):
             state.step(model, None, 0.0, None, j)
-        expected = reference_predict(state.cache, state.table, state.hist, k, cfg)
+        expected = reference_predict(state.cache, finite_differences(state.cache), state.hist, k, cfg)
         out = state.step(model, None, 0.0, None, (anchors - 1) * spacing + k)
         early = data.draw(st.sets(st.integers(0, layers - 1)))
         for l in early:
@@ -559,7 +561,29 @@ class TestPredict:
         state = PredictorState(PredictorConfig(3, 2, dynamics_enabled=False))
         outs = [state.step(model, z, 1 - j / 8, cond, j) for j in range(8)]
         assert [len(out) for out in outs] == [4, 1, 1, 4, 1, 1, 4, 1]
-        assert [h.shape for h in state.cache.hidden] == [(0,)] * 3 and state.table.layer_count == 1
+        table = finite_differences(state.cache)
+        assert [h.shape for h in table.hidden] == [(0,)] * 3 and table.layer_count == 1
+        assert state.hist.sigmas == []
+
+    def test_weights_reduced_once_per_warmed_table_and_order(self, monkeypatch):
+        # Each predicted step fetches its table through finite_differences, the cache's own table
+        # until the next anchor, so the weights an order's first query stores serve every later
+        # step. K=5, n=2 over 20 steps: the anchors at steps 10 and 15 lead warmed tables, each
+        # queried at orders 1 and 2 by 4 predicted steps: 4 reductions, where a table built per
+        # step would take 16.
+        model = build_model(0, 4, 8, 4, 2)
+        z, cond = SeededRng(1).normal((5, 4)), SeededRng(2).normal((5, 2))
+        original, calls = pred_mod.layer_means, []
+
+        def counting(x):
+            calls.append(len(x))
+            return original(x)
+
+        monkeypatch.setattr(pred_mod, "layer_means", counting)
+        state = PredictorState(PredictorConfig(5, 2))
+        for j in range(20):
+            state.step(model, z, 1 - j / 20, cond, j)
+        assert calls == [3] * 4
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
