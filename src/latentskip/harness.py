@@ -221,8 +221,10 @@ def dump_trajectory(trajectory: list, path: str):
     Each latent's own memory (a C-contiguous little-endian float64 copy only
     when it is not one already) follows the header through one buffered
     writer of at most ``WRITE_BUFFER_BYTES`` and no larger than the file, so
-    nothing is stacked. An empty list, latents of different shapes and 0-d
-    latents are a ValueError, raised before the path is opened.
+    nothing is stacked. A regular file is written over in place, then cut to
+    the new length; a failed write leaves it empty, so no mix of old and new
+    bytes loads. Nothing is fsynced. An empty list, latents of different
+    shapes and 0-d latents are a ValueError, raised before the path is opened.
     """
     tensors = [np.asarray(z, dtype="<f8", order="C") for z in trajectory]
     shapes = {z.shape for z in tensors}
@@ -233,10 +235,22 @@ def dump_trajectory(trajectory: list, path: str):
     np.lib.format.write_array_header_1_0(
         head, {"descr": "<f8", "fortran_order": False, "shape": (len(tensors), *tensors[0].shape)})
     size = head.tell() + len(tensors) * tensors[0].nbytes
-    with open(path, "wb", buffering=min(size, WRITE_BUFFER_BYTES)) as fh:
-        fh.write(head.getbuffer())
-        for z in tensors:
-            fh.write(z.data)
+    # No O_TRUNC: on ext4, closing a file cut to zero starts its writeback and re-allocates its blocks.
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb", buffering=min(size, WRITE_BUFFER_BYTES)) as fh:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)  # a device or a FIFO cannot be cut
+        try:
+            fh.write(head.getbuffer())
+            for z in tensors:
+                fh.write(z.data)
+            fh.flush()
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            fh.raw.close()  # drops the buffer, which closing the writer would write past the cut
+            raise
+        if regular:
+            os.ftruncate(fd, size)
 
 
 def load_trajectory(path: str) -> list:
