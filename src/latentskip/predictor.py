@@ -196,12 +196,17 @@ def extrapolate_layer(diffs: list, terms: list) -> np.ndarray:
     """diffs[0] + sum_i diffs[i] * num_i / den_i over the (num_i, den_i) of orders 1..m.
 
     Every term is formed in the array the first one allocates, multiply then
-    divide, as ``diffs[i] * num / den`` would, so the result is bitwise the same.
+    divide, as ``diffs[i] * num / den`` would, so the result is bitwise the
+    same. Row 0 is not copied: the sum starts as ``diffs[0] + term``.
     """
-    acc = diffs[0].copy(order="K")  # in the layer's own layout: eval's hidden outputs are F-ordered
-    term = None
-    for i, (num, den) in enumerate(terms, start=1):
-        term = np.multiply(diffs[i], num, out=term)
+    if not terms:
+        return diffs[0].copy(order="K")  # in the layer's own layout: eval's hidden outputs are F-ordered
+    (num, den), *rest = terms
+    term = diffs[1] * num
+    term /= den
+    acc = diffs[0] + term
+    for i, (num, den) in enumerate(rest, start=2):
+        np.multiply(diffs[i], num, term)
         term /= den
         acc += term
     return acc
@@ -247,13 +252,14 @@ def predict(cache: AnchorCache, table: DiffTable, hist: SigmaHistory,
     """
     if not 1 <= k <= cfg.anchor_spacing - 1:
         raise ValueError(f"k must lie in [1, {cfg.anchor_spacing - 1}]")
-    if not len(cache):
+    if not (anchors := len(cache)):
         raise ValueError("empty anchor cache")
-    m = min(cfg.max_order, len(cache) - 1)
-    warmed = len(cache) >= cfg.max_order + 1 and bool(hist.sigmas)
+    m = min(cfg.max_order, anchors - 1)
+    warmed = anchors >= cfg.max_order + 1 and bool(hist.sigmas)
     use_dynamics = cfg.dynamics_enabled and warmed
     s = scale_s(hist, cfg.alpha) if use_dynamics else 1.0
-    orders = [((-k) ** i, math.factorial(i) * cfg.anchor_spacing ** i) for i in range(1, m + 1)]
+    # (-k)^i as a float, which it is exactly: an array times a Python float skips an int conversion.
+    orders = [(float((-k) ** i), math.factorial(i) * cfg.anchor_spacing ** i) for i in range(1, m + 1)]
     terms = [[(num, den * (layer_weight(table, l, i) if use_dynamics else 1.0) * s)
               for i, (num, den) in enumerate(orders, start=1)]
              for l in range(table.layer_count)]

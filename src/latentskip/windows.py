@@ -95,11 +95,14 @@ def run_long(model, z_T_full: np.ndarray, cond_full, plan: WindowPlan,
 
     Without a ``predictor_cfg`` every window evaluates the model at every
     step (the oracle); with one, each window steps through its own
-    ``PredictorState``. At each step the windows, left to right on the same
-    latent, fill one velocity array; a window's head overlap blends its
-    velocity with the previous window's raw tail (not at the first window
-    or step, where the later window's velocity is kept). The sequence then
-    takes one Euler step, ``euler_step``. Frames run along the first axis
+    ``PredictorState``; ``t`` and ``dt`` are Python floats, taken from the
+    schedule once per run. At each step the windows, left to right on the
+    same latent, fill one velocity array; a window's head overlap blends
+    its velocity with the previous window's raw tail (not at the first
+    window or step, where the later window's velocity is kept). A
+    one-window plan has neither: its window's velocity, cast to float64 if
+    it is not, is the step's. The sequence then takes one Euler step,
+    ``euler_step``. Frames run along the first axis
     of ``z_T_full`` and of a 2-D ``cond_full``, which is sliced once per
     window; a 1-D (shared) cond is every window's cond. A model with a
     ``condition(cond, frames)`` method (``ToyModel``) gets each window's
@@ -129,22 +132,25 @@ def run_long(model, z_T_full: np.ndarray, cond_full, plan: WindowPlan,
         conds = [condition(c, e - s) for c, (s, e) in zip(conds, plan.spans)]
     states = None if predictor_cfg is None else [PredictorState(predictor_cfg) for _ in plan.spans]
 
-    ts = sampler_cfg.timesteps()
-    v = plan.overlap
+    ts = sampler_cfg.timesteps().tolist()
+    v, one_window = plan.overlap, len(plan.spans) == 1
     # Shaped once to broadcast over the frames' axes, so blend_overlap need not reshape it per call.
-    weights = blend_weights(v).reshape((v,) + (1,) * (z.ndim - 1)) if len(plan.spans) > 1 else None
+    weights = None if one_window else blend_weights(v).reshape((v,) + (1,) * (z.ndim - 1))
     trajectory = [z]
     # A NaN or inf from an evaluation, an extrapolation or an Euler step that overflows is the
     # ValueError below, not a RuntimeWarning on the way.
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(sampler_cfg.steps):
-            t, dt = float(ts[j]), float(ts[j] - ts[j + 1])
-            vel = np.empty_like(z)  # the spans cover every frame
+            t, dt = ts[j], ts[j] - ts[j + 1]
+            vel = None if one_window else np.empty_like(z)  # the spans cover every frame
             for wi, ((s, e), cond) in enumerate(zip(plan.spans, conds)):
                 zi = z[s:e]
                 vi = (model.eval(zi, t, cond) if states is None else states[wi].step(model, zi, t, cond, j)).final
                 if vi.shape != zi.shape:
                     raise ValueError(f"window {wi}'s velocity has shape {vi.shape}, its latent {zi.shape}")
+                if one_window:  # the window's velocity is the step's, in the latent's float64
+                    vel = vi if vi.dtype == z.dtype else vi.astype(z.dtype)
+                    break
                 vel[s:e] = vi
                 if wi > 0 and j > 0:
                     vel[s:s + v] = blend_overlap(prev_tail, vi[:v], weights)

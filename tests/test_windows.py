@@ -507,6 +507,44 @@ def test_overflowing_euler_step_raises(pcfg):
         run_long(ConstantVelocityModel(-1e308), z, np.zeros(4), plan_windows(3, 3, 0), cfg, pcfg)
 
 
+class FixedVelocityModel:
+    """Returns one fixed array, the same object, as its velocity at every call."""
+
+    def __init__(self, velocity):
+        self.velocity = velocity
+
+    def eval(self, z, t, cond):
+        return LayerOutputs([self.velocity], self.velocity.shape)
+
+
+@pytest.mark.parametrize("pcfg", [None, PredictorConfig(2, 1)], ids=["oracle", "accelerated"])
+def test_one_window_run_writes_no_model_output(pcfg):
+    # A one-window step takes its window's velocity as the model returned it, with no copy: the
+    # model's array must come out unchanged, and no latent may share memory with it or another latent.
+    velocity = SeededRng(2).normal((5, 6))
+    before = velocity.copy()
+    trajectory, _ = run_long(FixedVelocityModel(velocity), SeededRng(1).normal((5, 6)), np.zeros(4),
+                             plan_windows(5, 5, 0), SamplerConfig(steps=6), pcfg)
+    assert np.array_equal(velocity, before)
+    assert not any(np.shares_memory(z, velocity) for z in trajectory)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(trajectory) for b in trajectory[i + 1:])
+
+
+@pytest.mark.parametrize("pcfg", [None, PredictorConfig(2, 1)], ids=["oracle", "accelerated"])
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_one_window_velocity_of_another_dtype_is_cast(dtype, pcfg):
+    # Stepped as it is, a float32 velocity would round dt * v to float32. A constant velocity has
+    # zero differences, so the predicted steps extrapolate it exactly.
+    velocity = (SeededRng(2).normal((5, 6)) * 4).astype(dtype)
+    z, cfg = SeededRng(1).normal((5, 6)), SamplerConfig(steps=6)
+    trajectory, _ = run_long(FixedVelocityModel(velocity), z, np.zeros(4), plan_windows(5, 5, 0), cfg, pcfg)
+    ts, expected = cfg.timesteps(), [z]
+    for j in range(cfg.steps):
+        expected.append(expected[-1] - (ts[j] - ts[j + 1]) * velocity.astype(np.float64))
+    assert all(got.dtype == np.float64 for got in trajectory)
+    assert all(np.array_equal(got, want) for got, want in zip(trajectory, expected, strict=True))
+
+
 @pytest.mark.parametrize("fusion", ["pure-norm", "centralization", "ours"])
 @pytest.mark.parametrize("pcfg", [None, PredictorConfig(2, 2)])
 def test_cond_whose_moments_overflow_raises_in_condition(fusion, pcfg):
